@@ -1,0 +1,298 @@
+"""Command-line driver for the experiment variants and parameter scans.
+
+Lengths are entered in units of sigma (the ground-state width of the
+relative coordinate): --a is a/sigma. Exit codes: 0 success, 2 usage
+error, 3 statistical failure (no shot post-selected), 4 internal
+invariant violation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+
+from .errors import InvariantError, PostSelectionError
+from .protocol import (
+    RunConfig,
+    run_ideal,
+    run_strong_comparison,
+    run_third_ion,
+    run_weak_gaussian,
+)
+from .shots import run_experiment_mc
+
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_STATISTICAL = 3
+EXIT_INTERNAL = 4
+
+_DEFAULTS = {"a": 0.05, "sigma": 1.0, "theta": 0.1, "shots": 100_000, "seed": 1}
+_CONFIG_TYPES = {"a": float, "sigma": float, "theta": float, "shots": int, "seed": int, "format": str}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hardyions",
+        description="Two-ion interferometer with weakly coupled meters: "
+        "exact predictions, parameter scans, and Monte-Carlo shot statistics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, formats, default_format):
+        p.add_argument("--format", choices=formats, default=None, help=f"output format (default {default_format})")
+        p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
+        p.add_argument("--config", metavar="FILE", default=None, help="key=value file; explicit flags override it")
+        p.set_defaults(default_format=default_format)
+
+    p = sub.add_parser("ideal", help="bare interferometer: final amplitudes and outcome table")
+    add_common(p, ("text", "json", "csv"), "text")
+
+    p = sub.add_parser("weak", help="weak measurement via the light-shift meter, post-selected on gg")
+    p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
+    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
+    add_common(p, ("text", "json"), "text")
+
+    p = sub.add_parser("scan", help="sweep a/sigma and tabulate the conditional pointer mean")
+    p.add_argument("--min", type=float, default=0.01, help="lower end of the a/sigma range")
+    p.add_argument("--max", type=float, default=5.0, help="upper end of the a/sigma range")
+    p.add_argument("--steps", type=int, default=100, help="number of scan points (>= 2)")
+    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
+    add_common(p, ("csv", "json"), "csv")
+
+    p = sub.add_parser("third-ion", help="weak measurement with a third-ion qubit meter")
+    p.add_argument("--theta", type=float, default=None, help="partial C2-NOT rotation angle in radians")
+    add_common(p, ("text", "json"), "text")
+
+    p = sub.add_parser("mc", help="Monte-Carlo simulation of repeated shots")
+    p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
+    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
+    p.add_argument("--shots", type=int, default=None, help="number of experimental shots")
+    p.add_argument("--seed", type=int, default=None, help="random seed")
+    p.add_argument("--per-shot", metavar="FILE", default=None, help="also write per-shot CSV to FILE")
+    add_common(p, ("json", "text"), "json")
+
+    p = sub.add_parser("strong", help="projective intermediate measurement versus the undisturbed run")
+    add_common(p, ("text", "json"), "text")
+
+    return parser
+
+
+def _read_config_file(path: str) -> dict:
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_TYPES:
+                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            values[key] = _CONFIG_TYPES[key](value.strip())
+    return values
+
+
+def _resolve(args, keys) -> dict:
+    file_values = _read_config_file(args.config) if args.config else {}
+    resolved = {}
+    for key in keys:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            resolved[key] = flag
+        elif key in file_values:
+            resolved[key] = file_values[key]
+        else:
+            resolved[key] = _DEFAULTS[key]
+    fmt = args.format if args.format is not None else file_values.get("format", args.default_format)
+    resolved["format"] = fmt
+    return resolved
+
+
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _cmd_ideal(args) -> int:
+    opts = _resolve(args, ())
+    result = run_ideal()
+    payload = result.to_json_dict()
+    if opts["format"] == "json":
+        _emit(args, _json(payload))
+    elif opts["format"] == "csv":
+        lines = ["state,re,im,probability"]
+        for label, (re, im) in payload["amplitudes"].items():
+            lines.append(f"{label},{re!r},{im!r},{payload['probabilities'][label]!r}")
+        _emit(args, "\n".join(lines) + "\n")
+    else:
+        lines = ["state  amplitude                 probability"]
+        for label, (re, im) in payload["amplitudes"].items():
+            lines.append(f"{label}     {re:+.12f}{im:+.12f}j  {payload['probabilities'][label]:.12f}")
+        lines.append(f"sum of squared amplitudes: {payload['sum_of_squares']:.12f}")
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+def _cmd_weak(args) -> int:
+    opts = _resolve(args, ("a", "sigma"))
+    report = run_weak_gaussian(opts["a"] * opts["sigma"], opts["sigma"])
+    if opts["format"] == "json":
+        _emit(args, _json(report.to_json_dict()))
+    else:
+        wv = "  ".join(f"{k}: {v.real + 0.0:+.6f}" for k, v in report.weak_values.items())
+        _emit(
+            args,
+            f"post-selection probability: {report.postselection_probability:.12f}\n"
+            f"weak values: {wv}\n"
+            f"pointer mean: {report.pointer_mean!r}\n"
+            f"closed-form mean: {report.closed_form_mean!r}\n"
+            f"pointer variance: {report.pointer_variance!r}\n",
+        )
+    return EXIT_OK
+
+
+def _cmd_scan(args) -> int:
+    opts = _resolve(args, ("sigma",))
+    if args.steps < 2:
+        raise ValueError(f"need at least 2 scan steps, got {args.steps}")
+    if not 0.0 < args.min < args.max:
+        raise ValueError(f"need 0 < min < max, got [{args.min}, {args.max}]")
+    sigma = opts["sigma"]
+    rows = []
+    for i in range(args.steps):
+        aos = args.min + (args.max - args.min) * i / (args.steps - 1)
+        a = aos * sigma
+        report = run_weak_gaussian(a, sigma)
+        rows.append(
+            {
+                "a_over_sigma": aos,
+                "mean_over_a": report.pointer_mean / a,
+                "closed_form_over_a": report.closed_form_mean / a,
+                "probability": report.postselection_probability,
+            }
+        )
+    if opts["format"] == "json":
+        _emit(args, _json(rows))
+    else:
+        lines = ["a_over_sigma,mean_over_a,closed_form_over_a,probability"]
+        for row in rows:
+            lines.append(
+                f"{row['a_over_sigma']!r},{row['mean_over_a']!r},"
+                f"{row['closed_form_over_a']!r},{row['probability']!r}"
+            )
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+def _cmd_third_ion(args) -> int:
+    opts = _resolve(args, ("theta",))
+    report = run_third_ion(opts["theta"])
+    if opts["format"] == "json":
+        _emit(args, _json(report.to_json_dict()))
+    else:
+        _emit(
+            args,
+            f"theta: {report.theta!r}\n"
+            f"post-selected excited population: {report.excited_population!r}\n"
+            f"reference shift sin(theta)/2: {report.reference_shift!r}\n"
+            f"deviation of (1/2 - P_e) from the reference: {report.deviation!r}\n"
+            f"post-selection probability: {report.postselection_probability!r}\n",
+        )
+    return EXIT_OK
+
+
+def _cmd_mc(args) -> int:
+    opts = _resolve(args, ("a", "sigma", "shots", "seed"))
+    config = RunConfig(
+        a=opts["a"] * opts["sigma"],
+        sigma=opts["sigma"],
+        shots=opts["shots"],
+        seed=opts["seed"],
+        variant="weak_gaussian",
+    )
+    if args.per_shot:
+        result, outcomes, samples = run_experiment_mc(config, keep_samples=True)
+        with open(args.per_shot, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["shot", "accepted", "x_sample"])
+            taken = 0
+            for shot, outcome in enumerate(outcomes):
+                if outcome == 0:
+                    writer.writerow([shot, 1, repr(float(samples[taken]))])
+                    taken += 1
+                else:
+                    writer.writerow([shot, 0, ""])
+    else:
+        result = run_experiment_mc(config)
+    if opts["format"] == "json":
+        _emit(args, _json(result.to_json_dict()))
+    else:
+        _emit(
+            args,
+            f"accepted: {result.accepted} / {result.total}\n"
+            f"sample mean: {result.sample_mean!r}\n"
+            f"standard error: {result.std_error!r}"
+            f"{'' if result.std_error_reliable else '  (unreliable: too few accepted shots)'}\n",
+        )
+    return EXIT_STATISTICAL if result.accepted == 0 else EXIT_OK
+
+
+def _cmd_strong(args) -> int:
+    opts = _resolve(args, ())
+    report = run_strong_comparison()
+    if opts["format"] == "json":
+        _emit(args, _json(report.to_json_dict()))
+    else:
+        lines = ["state  undisturbed     with gg measurement inserted"]
+        for label in report.undisturbed:
+            lines.append(
+                f"{label}     {report.undisturbed[label]:.12f}  {report.disturbed[label]:.12f}"
+            )
+        lines.append(f"undisturbed total: {sum(report.undisturbed.values()):.12f}")
+        lines.append(f"disturbed total:   {sum(report.disturbed.values()):.12f}")
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+_COMMANDS = {
+    "ideal": _cmd_ideal,
+    "weak": _cmd_weak,
+    "scan": _cmd_scan,
+    "third-ion": _cmd_third_ion,
+    "mc": _cmd_mc,
+    "strong": _cmd_strong,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else EXIT_OK
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except PostSelectionError as exc:
+        print(f"statistical failure: {exc}", file=sys.stderr)
+        return EXIT_STATISTICAL
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,296 @@
+"""Pointer states for the meter degree of freedom.
+
+Three representations: exact algebra over superpositions of displaced
+equal-width Gaussians (the primary path), a sampled position grid used as
+an independent numerical oracle, and a two-level pointer for the
+third-ion scheme.
+
+The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
+exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
+Displaced branches are not orthogonal: <phi_i|phi_j> =
+exp(-(d_i - d_j)^2 / (8 sigma^2)), and every inner product runs through
+that Gram kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import InvariantError
+
+NORM_FLOOR = 1e-15
+
+GRID_POINTS_DEFAULT = 4096
+GRID_PADDING_SIGMAS = 6.0
+
+# Post-selected pointer means sit on near-complete cancellations between
+# Gram terms; quadratic forms therefore accumulate in extended precision
+# (80-bit on x86 Linux; degrades gracefully where longdouble == double).
+_LD = np.longdouble
+_CLD = np.clongdouble
+
+
+def gauss_kernel(delta, sigma: float):
+    """Overlap exp(-delta^2 / (8 sigma^2)) of two width-sigma Gaussians separated by delta."""
+    d = np.asarray(delta, dtype=_LD)
+    return np.exp(-(d * d) / (_LD(8.0) * _LD(sigma) * _LD(sigma)))
+
+
+def gram_matrix(sigma: float, centers) -> np.ndarray:
+    """Gram matrix G[i, j] = <phi_{d_i}|phi_{d_j}> for equal-width branches."""
+    d = np.asarray(centers, dtype=float)
+    return gauss_kernel(d[:, None] - d[None, :], sigma)
+
+
+def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
+    """Overlaps between two branch sets sharing the same width."""
+    db = np.asarray(centers_bra, dtype=float)
+    dk = np.asarray(centers_ket, dtype=float)
+    return gauss_kernel(db[:, None] - dk[None, :], sigma)
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianPointer:
+    """Superposition sum_i c_i phi_{d_i}(x) of displaced ground-state Gaussians.
+
+    branches is a sequence of (coefficient, center) pairs; all branches
+    share the width sigma. The representation is exact: no truncation is
+    involved anywhere in the algebra below.
+    """
+
+    sigma: float
+    branches: tuple[tuple[complex, float], ...]
+
+    def __post_init__(self) -> None:
+        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
+        branches = tuple((complex(c), float(d)) for c, d in self.branches)
+        if not branches:
+            raise ValueError("a pointer needs at least one branch")
+        for c, d in branches:
+            if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(d)):
+                raise ValueError(f"non-finite branch ({c}, {d})")
+        object.__setattr__(self, "branches", branches)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.array([c for c, _ in self.branches], dtype=complex)
+
+    @property
+    def centers(self) -> np.ndarray:
+        return np.array([d for _, d in self.branches], dtype=float)
+
+    def displaced(self, shift: float) -> "GaussianPointer":
+        """Same superposition with every center translated by shift."""
+        return GaussianPointer(self.sigma, tuple((c, d + shift) for c, d in self.branches))
+
+    def scaled(self, factor: complex) -> "GaussianPointer":
+        return GaussianPointer(self.sigma, tuple((c * factor, d) for c, d in self.branches))
+
+    def normalized(self) -> "GaussianPointer":
+        norm_sq = gaussian_norm_sq(self)
+        if norm_sq < NORM_FLOOR:
+            raise ValueError("cannot normalize a degenerate pointer state")
+        return self.scaled(1.0 / math.sqrt(norm_sq))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "sigma": self.sigma,
+            "branches": [[c.real, c.imag, d] for c, d in self.branches],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "GaussianPointer":
+        branches = tuple((complex(re, im), d) for re, im, d in data["branches"])
+        return cls(float(data["sigma"]), branches)
+
+
+def _quad_form(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> complex:
+    value = np.einsum(
+        "i,ij,j->",
+        np.conj(bra.astype(_CLD)),
+        kernel.astype(_CLD),
+        ket.astype(_CLD),
+    )
+    return complex(value)
+
+
+def gaussian_overlap(p: GaussianPointer, q: GaussianPointer) -> complex:
+    """Inner product <p|q> = sum_ij conj(c_i) c'_j exp(-(d_i - d'_j)^2 / (8 sigma^2))."""
+    if p.sigma != q.sigma:
+        raise ValueError(
+            f"mixed-width overlap is not supported (sigma {p.sigma} vs {q.sigma})"
+        )
+    kernel = cross_gram(p.sigma, p.centers, q.centers)
+    return _quad_form(p.coefficients, kernel, q.coefficients)
+
+
+def gaussian_norm_sq(p: GaussianPointer) -> float:
+    return gaussian_overlap(p, p).real
+
+
+def _moments(p: GaussianPointer) -> tuple[float, float]:
+    c = p.coefficients
+    d = p.centers
+    gram = gram_matrix(p.sigma, d)
+    den = _quad_form(c, gram, c)
+    if den.real < NORM_FLOOR:
+        raise ValueError("degenerate pointer state (vanishing norm)")
+    mid = ((d[:, None] + d[None, :]) / 2.0).astype(_LD)
+    num_x = _quad_form(c, gram * mid, c)
+    num_xx = _quad_form(c, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid), c)
+    mean = num_x / den
+    second = num_xx / den
+    scale = max(1.0, abs(mean.real), abs(second.real))
+    if abs(mean.imag) > 1e-12 * scale or abs(second.imag) > 1e-12 * scale:
+        raise InvariantError("position moments came out non-real")
+    return mean.real, second.real
+
+
+def gaussian_mean_x(p: GaussianPointer) -> float:
+    """Exact position mean sum_ij conj(c_i) c_j G_ij (d_i + d_j) / 2, normalized."""
+    return _moments(p)[0]
+
+
+def gaussian_second_moment(p: GaussianPointer) -> float:
+    """Exact <x^2>: sum_ij conj(c_i) c_j G_ij (sigma^2 + ((d_i + d_j) / 2)^2), normalized."""
+    return _moments(p)[1]
+
+
+def gaussian_variance(p: GaussianPointer) -> float:
+    mean, second = _moments(p)
+    return second - mean * mean
+
+
+@dataclass(frozen=True, eq=False)
+class GridPointer:
+    """Wavefunction sampled on a uniform grid; the numerical oracle for GaussianPointer."""
+
+    xmin: float
+    xmax: float
+    n: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.xmax > self.xmin:
+            raise ValueError(f"need xmax > xmin, got [{self.xmin}, {self.xmax}]")
+        if self.n < 2:
+            raise ValueError("need at least two grid points")
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.n,):
+            raise ValueError(f"expected {self.n} samples, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite grid samples")
+        values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def xs(self) -> np.ndarray:
+        return np.linspace(self.xmin, self.xmax, self.n)
+
+    def norm_sq(self) -> float:
+        return float(np.trapezoid(np.abs(self.values) ** 2, self.xs))
+
+    def normalized(self) -> "GridPointer":
+        norm_sq = self.norm_sq()
+        if norm_sq < NORM_FLOOR:
+            raise ValueError("cannot normalize a degenerate grid state")
+        return GridPointer(self.xmin, self.xmax, self.n, self.values / math.sqrt(norm_sq))
+
+
+def evaluate_gaussian(p: GaussianPointer, xs: np.ndarray) -> np.ndarray:
+    """Pointwise values sum_i c_i (2 pi sigma^2)^(-1/4) exp(-(x - d_i)^2 / (4 sigma^2))."""
+    xs = np.asarray(xs, dtype=float)
+    amp = (2.0 * math.pi * p.sigma * p.sigma) ** -0.25
+    values = np.zeros(xs.shape, dtype=complex)
+    for c, d in p.branches:
+        values += c * amp * np.exp(-((xs - d) ** 2) / (4.0 * p.sigma * p.sigma))
+    return values
+
+
+def to_grid(
+    p: GaussianPointer,
+    xmin: float | None = None,
+    xmax: float | None = None,
+    n: int = GRID_POINTS_DEFAULT,
+) -> GridPointer:
+    """Sample the pointer on a uniform grid and renormalize.
+
+    The window must cover every branch center by at least six sigma on
+    each side; the default window is exactly that.
+    """
+    lo = float(min(d for _, d in p.branches))
+    hi = float(max(d for _, d in p.branches))
+    if xmin is None:
+        xmin = lo - GRID_PADDING_SIGMAS * p.sigma
+    if xmax is None:
+        xmax = hi + GRID_PADDING_SIGMAS * p.sigma
+    if xmin > lo - GRID_PADDING_SIGMAS * p.sigma or xmax < hi + GRID_PADDING_SIGMAS * p.sigma:
+        raise ValueError(
+            f"window [{xmin}, {xmax}] too small; need to cover centers "
+            f"[{lo}, {hi}] padded by {GRID_PADDING_SIGMAS} sigma"
+        )
+    xs = np.linspace(xmin, xmax, n)
+    return GridPointer(xmin, xmax, n, evaluate_gaussian(p, xs)).normalized()
+
+
+def grid_moments(p: GridPointer) -> tuple[float, float]:
+    """Trapezoid-rule (<x>, <x^2> - <x>^2) of a normalized grid state."""
+    xs = p.xs
+    density = np.abs(p.values) ** 2
+    norm = np.trapezoid(density, xs)
+    mean = float(np.trapezoid(xs * density, xs) / norm)
+    second = float(np.trapezoid(xs * xs * density, xs) / norm)
+    return mean, second - mean * mean
+
+
+def grid_to_csv(p: GridPointer, fh) -> None:
+    """Dump a grid state as CSV with columns x, re, im, abs2."""
+    fh.write("x,re,im,abs2\n")
+    for x, v in zip(p.xs, p.values):
+        fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v) ** 2)!r}\n")
+
+
+@dataclass(frozen=True)
+class QubitPointer:
+    """Two-level meter state amp_g |g> + amp_e |e> of the third ion."""
+
+    amp_g: complex
+    amp_e: complex
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "amp_g", complex(self.amp_g))
+        object.__setattr__(self, "amp_e", complex(self.amp_e))
+        norm_sq = abs(self.amp_g) ** 2 + abs(self.amp_e) ** 2
+        if abs(norm_sq - 1.0) > 1e-12:
+            raise ValueError(f"qubit pointer must be normalized, |amp|^2 = {norm_sq}")
+
+    @property
+    def excited_population(self) -> float:
+        return abs(self.amp_e) ** 2
+
+
+def qubit_plus() -> QubitPointer:
+    """The fiducial meter state (|g> + |e>) / sqrt(2)."""
+    r = 1.0 / math.sqrt(2.0)
+    return QubitPointer(r, r)
+
+
+def qubit_rotation_matrix(theta: float) -> np.ndarray:
+    """Real rotation |g> -> cos(t/2)|g> + sin(t/2)|e>, |e> -> cos(t/2)|e> - sin(t/2)|g>.
+
+    Positive theta increases the excited population of (|g> + |e>) / sqrt(2)
+    by sin(theta) / 2.
+    """
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def qubit_rotate(p: QubitPointer, theta: float) -> QubitPointer:
+    amp = qubit_rotation_matrix(theta) @ np.array([p.amp_g, p.amp_e])
+    return QubitPointer(amp[0], amp[1])

@@ -1,0 +1,339 @@
+"""Named experiments on the two-ion interferometer.
+
+The ideal sequence is first beamsplitters, annihilation pulse, second
+beamsplitters; post-selecting both ions in |gg> then succeeds with
+probability 1/16. The weak-measurement variants insert a meter coupling
+between the annihilation pulse and the second beamsplitters and condition
+the meter on that post-selection.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import meter as meter_mod
+from .errors import InvariantError, PostSelectionError
+from .meter import GaussianPointer, gaussian_mean_x, gaussian_second_moment
+from .pulses import (
+    MeasurementInstrument,
+    annihilation_pulse,
+    beamsplitter,
+    light_shift_meter,
+    partial_ccnot,
+    strong_measurement,
+)
+from .statecore import (
+    BASIS_LABELS,
+    GaussianMeter,
+    MeterSpace,
+    QubitMeter,
+    SystemState,
+    apply_unitary,
+    init_ground,
+    internal_index,
+    internal_probabilities,
+    pointer_component,
+    project_internal,
+)
+
+VARIANTS = ("ideal", "weak_gaussian", "third_ion", "strong_comparison")
+
+INTERMEDIATE_PROJECTOR_LABELS = ("gg", "ge", "eg", "ff")
+
+_LD = np.longdouble
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Parameters of one experiment run; lengths share the unit of sigma."""
+
+    a: float = 0.05
+    sigma: float = 1.0
+    theta: float = 0.1
+    shots: int = 100_000
+    seed: int = 1
+    variant: str = "weak_gaussian"
+
+    def __post_init__(self) -> None:
+        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
+        if self.a < 0.0 or not math.isfinite(self.a):
+            raise ValueError(f"a must be a non-negative finite length, got {self.a}")
+        if self.shots < 0:
+            raise ValueError(f"shots must be non-negative, got {self.shots}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+
+
+@dataclass(frozen=True)
+class WeakValueReport:
+    """Post-selected weak values plus the conditional pointer statistics."""
+
+    postselection_probability: float
+    weak_values: dict[str, complex]
+    pointer_mean: float
+    closed_form_mean: float
+    pointer_variance: float
+    conditional_pointer: GaussianPointer | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        total = sum(self.weak_values.values())
+        if abs(total - 1.0) > 1e-12:
+            raise InvariantError(f"weak values must sum to 1, got {total}")
+        if not 0.0 < self.postselection_probability <= 1.0:
+            raise InvariantError(
+                f"post-selection probability out of (0, 1]: {self.postselection_probability}"
+            )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "postselection_probability": self.postselection_probability,
+            "weak_values": {k: [v.real, v.imag] for k, v in self.weak_values.items()},
+            "pointer_mean": self.pointer_mean,
+            "closed_form_mean": self.closed_form_mean,
+            "pointer_variance": self.pointer_variance,
+        }
+
+
+@dataclass(frozen=True)
+class IdealResult:
+    state: SystemState
+    probabilities: dict[str, float]
+
+    def to_json_dict(self) -> dict:
+        amps = {
+            label: [float(amp[0].real), float(amp[0].imag)]
+            for label, amp in zip(BASIS_LABELS, self.state.amplitudes)
+        }
+        return {
+            "amplitudes": amps,
+            "probabilities": self.probabilities,
+            "sum_of_squares": sum(self.probabilities.values()),
+        }
+
+
+@dataclass(frozen=True)
+class ThirdIonReport:
+    """Post-selected meter populations for the third-ion variant."""
+
+    theta: float
+    excited_population: float
+    reference_shift: float  # delta_p = sin(theta) / 2
+    deviation: float  # |(1/2 - P_e) - delta_p|
+    relative_deviation: float | None  # deviation / delta_p, None at theta = 0
+    postselection_probability: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "theta": self.theta,
+            "excited_population": self.excited_population,
+            "reference_shift": self.reference_shift,
+            "deviation": self.deviation,
+            "relative_deviation": self.relative_deviation,
+            "postselection_probability": self.postselection_probability,
+        }
+
+
+@dataclass(frozen=True)
+class StrongBranch:
+    label: str
+    probability: float
+    probabilities: dict[str, float]
+
+
+@dataclass(frozen=True)
+class StrongComparisonReport:
+    """Final outcome tables with and without an inserted projective measurement."""
+
+    undisturbed: dict[str, float]
+    disturbed: dict[str, float]
+    branches: tuple[StrongBranch, ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "undisturbed": self.undisturbed,
+            "disturbed": self.disturbed,
+            "branches": [
+                {
+                    "label": b.label,
+                    "probability": b.probability,
+                    "probabilities": b.probabilities,
+                }
+                for b in self.branches
+            ],
+        }
+
+
+def _first_half(state: SystemState) -> SystemState:
+    """First beamsplitters and the annihilation pulse."""
+    for op in (beamsplitter(1), beamsplitter(2), annihilation_pulse()):
+        state = apply_unitary(state, op)
+    return state
+
+
+def _second_beamsplitters(state: SystemState) -> SystemState:
+    for op in (beamsplitter(1), beamsplitter(2)):
+        state = apply_unitary(state, op)
+    return state
+
+
+def intermediate_state(meter: MeterSpace | None = None) -> SystemState:
+    """The state between the annihilation pulse and the second beamsplitters."""
+    return _first_half(init_ground(meter))
+
+
+def run_ideal() -> IdealResult:
+    """The bare interferometer without any meter coupling."""
+    state = _second_beamsplitters(intermediate_state())
+    return IdealResult(state, internal_probabilities(state))
+
+
+def weak_values_postselected() -> dict[str, complex]:
+    """Weak values of the intermediate projectors, post-selected on |gg>.
+
+    Computed as transition amplitudes <gg|U P|psi> / <gg|U|psi> with U the
+    second beamsplitter pair and psi the intermediate state. The occupied
+    intermediate components are gg, ge, eg, ff; their weak values come out
+    (-1, +1, +1, 0) and sum to one.
+    """
+    psi = intermediate_state().amplitudes[:, 0]
+    u2 = beamsplitter(2).matrix @ beamsplitter(1).matrix
+    gg = internal_index("gg")
+    denominator = (u2 @ psi)[gg]
+    if abs(denominator) ** 2 < 1e-15:
+        raise PostSelectionError("post-selection amplitude vanishes")
+    values = {}
+    for label in INTERMEDIATE_PROJECTOR_LABELS:
+        projected = np.zeros_like(psi)
+        idx = internal_index(label)
+        projected[idx] = psi[idx]
+        values[label] = complex((u2 @ projected)[gg] / denominator)
+    return values
+
+
+def closed_form_mean(a: float, sigma: float = 1.0) -> float:
+    """Conditional pointer mean -a (1 - 2 g) / (5 - 4 g), g = exp(-a^2 / 8 sigma^2).
+
+    Positive (equal to +a) for small a, zero at a^2 = 8 ln(2) sigma^2,
+    negative beyond.
+    """
+    if not (sigma > 0.0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    g = meter_mod.gauss_kernel(a, sigma)
+    value = -_LD(a) * (1.0 - 2.0 * g) / (5.0 - 4.0 * g)
+    return float(value)
+
+
+def weak_gaussian_final_state(a: float, sigma: float = 1.0) -> SystemState:
+    """Full evolution with the relative-coordinate Gaussian meter attached."""
+    state = intermediate_state(GaussianMeter(sigma=sigma, centers=(0.0,)))
+    state = apply_unitary(state, light_shift_meter(a))
+    return _second_beamsplitters(state)
+
+
+def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
+    """Weak measurement of the |gg> population via the light-shift meter.
+
+    Post-selects |gg> and reports the conditional pointer, which is
+    proportional to phi(x + a) - 2 phi(x): coefficients (1, -2) on centers
+    (-a, 0) up to normalization.
+    """
+    if a < 0.0 or not math.isfinite(a):
+        raise ValueError(f"a must be a non-negative finite length, got {a}")
+    final = weak_gaussian_final_state(a, sigma)
+    probability, conditional = project_internal(final, "gg")
+    pointer = pointer_component(conditional, "gg")
+    mean = gaussian_mean_x(pointer)
+    second = gaussian_second_moment(pointer)
+    return WeakValueReport(
+        postselection_probability=probability,
+        weak_values=weak_values_postselected(),
+        pointer_mean=mean,
+        closed_form_mean=closed_form_mean(a, sigma),
+        pointer_variance=second - mean * mean,
+        conditional_pointer=pointer,
+    )
+
+
+def weak_limit_check(a: float, sigma: float = 1.0) -> float:
+    """L2 distance between the normalized conditional pointer and -phi(x - a).
+
+    For a much smaller than sigma, phi(x + a) - 2 phi(x) is -phi(x - a) to
+    first order, so the distance scales as (a / sigma)^2.
+    """
+    g = float(meter_mod.gauss_kernel(a, sigma))
+    norm = 1.0 / math.sqrt(5.0 - 4.0 * g)
+    difference = GaussianPointer(
+        sigma,
+        ((norm, -a), (-2.0 * norm, 0.0), (1.0, a)),
+    )
+    return math.sqrt(max(meter_mod.gaussian_norm_sq(difference), 0.0))
+
+
+def third_ion_excited_population(theta: float) -> float:
+    """Conditional excited population (c+s-2)^2 / ((c+s-2)^2 + (c-s-2)^2).
+
+    c = cos(theta/2), s = sin(theta/2); the same amplitude bookkeeping as
+    the Gaussian meter, carried out on the two-level pointer.
+    """
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    plus = (c + s - 2.0) ** 2
+    minus = (c - s - 2.0) ** 2
+    return plus / (plus + minus)
+
+
+def run_third_ion(theta: float) -> ThirdIonReport:
+    """Weak measurement with a third-ion qubit meter and a partial C2-NOT.
+
+    After post-selecting |gg>, the meter's excited population drops below
+    1/2 by approximately delta_p = sin(theta) / 2, the amount by which a
+    genuine |gg> occupation would have raised it.
+    """
+    if not -math.pi < theta < math.pi:
+        raise ValueError(f"theta must lie in (-pi, pi), got {theta}")
+    state = intermediate_state(QubitMeter())
+    state = apply_unitary(state, partial_ccnot(theta))
+    state = _second_beamsplitters(state)
+    probability, conditional = project_internal(state, "gg")
+    excited = pointer_component(conditional, "gg").excited_population
+    delta_p = math.sin(theta) / 2.0
+    deviation = abs((0.5 - excited) - delta_p)
+    relative = deviation / abs(delta_p) if delta_p != 0.0 else None
+    return ThirdIonReport(
+        theta=theta,
+        excited_population=excited,
+        reference_shift=delta_p,
+        deviation=deviation,
+        relative_deviation=relative,
+        postselection_probability=probability,
+    )
+
+
+def run_strong_comparison(instrument: MeasurementInstrument | None = None) -> StrongComparisonReport:
+    """Final outcome tables with and without a projective measurement inserted.
+
+    The projective measurement (default: |gg> versus its complement) fires
+    between the annihilation pulse and the second beamsplitters; the
+    disturbed table sums the branch tables weighted by branch probability.
+    """
+    if instrument is None:
+        instrument = strong_measurement()
+    undisturbed = run_ideal().probabilities
+    psi = intermediate_state()
+    branches = []
+    disturbed = {label: 0.0 for label in BASIS_LABELS}
+    for outcome in instrument.measure(psi):
+        if outcome.state is None:
+            branches.append(StrongBranch(outcome.label, outcome.probability, {}))
+            continue
+        table = internal_probabilities(_second_beamsplitters(outcome.state))
+        branches.append(StrongBranch(outcome.label, outcome.probability, table))
+        for label, value in table.items():
+            disturbed[label] += outcome.probability * value
+    return StrongComparisonReport(undisturbed, disturbed, tuple(branches))
