@@ -5,8 +5,10 @@ setup in which counterfactual reasoning assigns each particle two
 incompatible paths. A weakly coupled meter (the ions' relative coordinate,
 or a third ion) reads out intermediate-state populations without
 destroying the interference; post-selecting on the rare joint outcome
-exposes weak values of (+1, +1, -1) for the intermediate paths, visible as
-a pointer that moves opposite to the force applied to it.
+exposes weak values (gg, ge, eg, ff) = (-1, +1, +1, 0) for the intermediate
+paths, visible as a pointer that moves opposite to the force applied to it.
+Each experiment is data (a meter, a pulse sequence and a post-selected
+outcome) run by one engine, protocol.evolve.
 """
 
 from .errors import InvariantError, PostSelectionError
@@ -19,19 +21,22 @@ from .meter import (
     gaussian_second_moment,
     gaussian_variance,
     grid_moments,
-    qubit_rotate,
     to_grid,
 )
 from .protocol import (
+    Experiment,
     RunConfig,
     ThirdIonReport,
     WeakValueReport,
     closed_form_mean,
+    evolve,
     run_ideal,
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
     third_ion_excited_population,
+    third_ion_experiment,
+    weak_gaussian_experiment,
     weak_limit_check,
     weak_values_postselected,
 )
@@ -45,8 +50,6 @@ from .pulses import (
 from .shots import ShotResult, run_experiment_mc, sample_pointer, shots_required
 from .statecore import (
     GaussianMeter,
-    GridMeter,
-    IonBasisIndex,
     NoMeter,
     QubitMeter,
     SystemState,

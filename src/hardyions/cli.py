@@ -1,4 +1,4 @@
-"""Command-line driver for the experiment variants and parameter scans.
+"""Command-line driver for the experiments and parameter scans.
 
 Lengths are entered in units of sigma (the ground-state width of the
 relative coordinate): --a is a/sigma. Exit codes: 0 success, 2 usage
@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import InvariantError, PostSelectionError
 from .protocol import (
@@ -22,13 +23,14 @@ from .protocol import (
     run_weak_gaussian,
 )
 from .shots import run_experiment_mc
+from .statecore import GG_INDEX
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 4
 
-_DEFAULTS = {"a": 0.05, "sigma": 1.0, "theta": 0.1, "shots": 100_000, "seed": 1}
+_DEFAULTS = asdict(RunConfig())
 _CONFIG_TYPES = {"a": float, "sigma": float, "theta": float, "shots": int, "seed": int, "format": str}
 
 
@@ -40,30 +42,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats, default_format):
-        p.add_argument("--format", choices=formats, default=None, help=f"output format (default {default_format})")
+    def add_common(p, formats):
+        # the first format is the default
+        p.add_argument("--format", choices=formats, default=None, help=f"output format (default {formats[0]})")
         p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
         p.add_argument("--config", metavar="FILE", default=None, help="key=value file; explicit flags override it")
-        p.set_defaults(default_format=default_format)
+        p.set_defaults(formats=formats)
 
     p = sub.add_parser("ideal", help="bare interferometer: final amplitudes and outcome table")
-    add_common(p, ("text", "json", "csv"), "text")
+    add_common(p, ("text", "json", "csv"))
 
     p = sub.add_parser("weak", help="weak measurement via the light-shift meter, post-selected on gg")
     p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
     p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
-    add_common(p, ("text", "json"), "text")
+    add_common(p, ("text", "json"))
 
     p = sub.add_parser("scan", help="sweep a/sigma and tabulate the conditional pointer mean")
     p.add_argument("--min", type=float, default=0.01, help="lower end of the a/sigma range")
     p.add_argument("--max", type=float, default=5.0, help="upper end of the a/sigma range")
     p.add_argument("--steps", type=int, default=100, help="number of scan points (>= 2)")
     p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
-    add_common(p, ("csv", "json"), "csv")
+    add_common(p, ("csv", "json"))
 
     p = sub.add_parser("third-ion", help="weak measurement with a third-ion qubit meter")
     p.add_argument("--theta", type=float, default=None, help="partial C2-NOT rotation angle in radians")
-    add_common(p, ("text", "json"), "text")
+    add_common(p, ("text", "json"))
 
     p = sub.add_parser("mc", help="Monte-Carlo simulation of repeated shots")
     p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
@@ -71,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=None, help="number of experimental shots")
     p.add_argument("--seed", type=int, default=None, help="random seed")
     p.add_argument("--per-shot", metavar="FILE", default=None, help="also write per-shot CSV to FILE")
-    add_common(p, ("json", "text"), "json")
+    add_common(p, ("json", "text"))
 
     p = sub.add_parser("strong", help="projective intermediate measurement versus the undisturbed run")
-    add_common(p, ("text", "json"), "text")
+    add_common(p, ("text", "json"))
 
     return parser
 
@@ -96,18 +99,23 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args, keys) -> dict:
+def _resolve(args) -> dict:
+    """The subcommand's run parameters: explicit flag, else config file, else default."""
     file_values = _read_config_file(args.config) if args.config else {}
     resolved = {}
-    for key in keys:
-        flag = getattr(args, key, None)
+    for key in _DEFAULTS:
+        if not hasattr(args, key):
+            continue
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_values:
             resolved[key] = file_values[key]
         else:
             resolved[key] = _DEFAULTS[key]
-    fmt = args.format if args.format is not None else file_values.get("format", args.default_format)
+    fmt = args.format if args.format is not None else file_values.get("format", args.formats[0])
+    if fmt not in args.formats:
+        raise ValueError(f"{args.config}: format must be one of {', '.join(args.formats)}, got {fmt!r}")
     resolved["format"] = fmt
     return resolved
 
@@ -120,50 +128,38 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+# Each command runs its experiment and returns the JSON payload, the text
+# rendering used by every other format, and the exit code.
 
 
-def _cmd_ideal(args) -> int:
-    opts = _resolve(args, ())
-    result = run_ideal()
-    payload = result.to_json_dict()
-    if opts["format"] == "json":
-        _emit(args, _json(payload))
-    elif opts["format"] == "csv":
+def _cmd_ideal(args, opts):
+    payload = run_ideal().to_json_dict()
+    if opts["format"] == "csv":
         lines = ["state,re,im,probability"]
         for label, (re, im) in payload["amplitudes"].items():
             lines.append(f"{label},{re!r},{im!r},{payload['probabilities'][label]!r}")
-        _emit(args, "\n".join(lines) + "\n")
     else:
         lines = ["state  amplitude                 probability"]
         for label, (re, im) in payload["amplitudes"].items():
             lines.append(f"{label}     {re:+.12f}{im:+.12f}j  {payload['probabilities'][label]:.12f}")
         lines.append(f"sum of squared amplitudes: {payload['sum_of_squares']:.12f}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return payload, "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_weak(args) -> int:
-    opts = _resolve(args, ("a", "sigma"))
+def _cmd_weak(args, opts):
     report = run_weak_gaussian(opts["a"] * opts["sigma"], opts["sigma"])
-    if opts["format"] == "json":
-        _emit(args, _json(report.to_json_dict()))
-    else:
-        wv = "  ".join(f"{k}: {v.real + 0.0:+.6f}" for k, v in report.weak_values.items())
-        _emit(
-            args,
-            f"post-selection probability: {report.postselection_probability:.12f}\n"
-            f"weak values: {wv}\n"
-            f"pointer mean: {report.pointer_mean!r}\n"
-            f"closed-form mean: {report.closed_form_mean!r}\n"
-            f"pointer variance: {report.pointer_variance!r}\n",
-        )
-    return EXIT_OK
+    wv = "  ".join(f"{k}: {v.real + 0.0:+.6f}" for k, v in report.weak_values.items())
+    text = (
+        f"post-selection probability: {report.postselection_probability:.12f}\n"
+        f"weak values: {wv}\n"
+        f"pointer mean: {report.pointer_mean!r}\n"
+        f"closed-form mean: {report.closed_form_mean!r}\n"
+        f"pointer variance: {report.pointer_variance!r}\n"
+    )
+    return report.to_json_dict(), text, EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    opts = _resolve(args, ("sigma",))
+def _cmd_scan(args, opts):
     if args.steps < 2:
         raise ValueError(f"need at least 2 scan steps, got {args.steps}")
     if not 0.0 < args.min < args.max:
@@ -182,44 +178,33 @@ def _cmd_scan(args) -> int:
                 "probability": report.postselection_probability,
             }
         )
-    if opts["format"] == "json":
-        _emit(args, _json(rows))
-    else:
-        lines = ["a_over_sigma,mean_over_a,closed_form_over_a,probability"]
-        for row in rows:
-            lines.append(
-                f"{row['a_over_sigma']!r},{row['mean_over_a']!r},"
-                f"{row['closed_form_over_a']!r},{row['probability']!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-def _cmd_third_ion(args) -> int:
-    opts = _resolve(args, ("theta",))
-    report = run_third_ion(opts["theta"])
-    if opts["format"] == "json":
-        _emit(args, _json(report.to_json_dict()))
-    else:
-        _emit(
-            args,
-            f"theta: {report.theta!r}\n"
-            f"post-selected excited population: {report.excited_population!r}\n"
-            f"reference shift sin(theta)/2: {report.reference_shift!r}\n"
-            f"deviation of (1/2 - P_e) from the reference: {report.deviation!r}\n"
-            f"post-selection probability: {report.postselection_probability!r}\n",
+    lines = ["a_over_sigma,mean_over_a,closed_form_over_a,probability"]
+    for row in rows:
+        lines.append(
+            f"{row['a_over_sigma']!r},{row['mean_over_a']!r},"
+            f"{row['closed_form_over_a']!r},{row['probability']!r}"
         )
-    return EXIT_OK
+    return rows, "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_mc(args) -> int:
-    opts = _resolve(args, ("a", "sigma", "shots", "seed"))
+def _cmd_third_ion(args, opts):
+    report = run_third_ion(opts["theta"])
+    text = (
+        f"theta: {report.theta!r}\n"
+        f"post-selected excited population: {report.excited_population!r}\n"
+        f"reference shift sin(theta)/2: {report.reference_shift!r}\n"
+        f"deviation of (1/2 - P_e) from the reference: {report.deviation!r}\n"
+        f"post-selection probability: {report.postselection_probability!r}\n"
+    )
+    return report.to_json_dict(), text, EXIT_OK
+
+
+def _cmd_mc(args, opts):
     config = RunConfig(
         a=opts["a"] * opts["sigma"],
         sigma=opts["sigma"],
         shots=opts["shots"],
         seed=opts["seed"],
-        variant="weak_gaussian",
     )
     if args.per_shot:
         result, outcomes, samples = run_experiment_mc(config, keep_samples=True)
@@ -228,41 +213,32 @@ def _cmd_mc(args) -> int:
             writer.writerow(["shot", "accepted", "x_sample"])
             taken = 0
             for shot, outcome in enumerate(outcomes):
-                if outcome == 0:
+                if outcome == GG_INDEX:
                     writer.writerow([shot, 1, repr(float(samples[taken]))])
                     taken += 1
                 else:
                     writer.writerow([shot, 0, ""])
     else:
         result = run_experiment_mc(config)
-    if opts["format"] == "json":
-        _emit(args, _json(result.to_json_dict()))
-    else:
-        _emit(
-            args,
-            f"accepted: {result.accepted} / {result.total}\n"
-            f"sample mean: {result.sample_mean!r}\n"
-            f"standard error: {result.std_error!r}"
-            f"{'' if result.std_error_reliable else '  (unreliable: too few accepted shots)'}\n",
-        )
-    return EXIT_STATISTICAL if result.accepted == 0 else EXIT_OK
+    text = (
+        f"accepted: {result.accepted} / {result.total}\n"
+        f"sample mean: {result.sample_mean!r}\n"
+        f"standard error: {result.std_error!r}"
+        f"{'' if result.std_error_reliable else '  (unreliable: too few accepted shots)'}\n"
+    )
+    return result.to_json_dict(), text, EXIT_STATISTICAL if result.accepted == 0 else EXIT_OK
 
 
-def _cmd_strong(args) -> int:
-    opts = _resolve(args, ())
+def _cmd_strong(args, opts):
     report = run_strong_comparison()
-    if opts["format"] == "json":
-        _emit(args, _json(report.to_json_dict()))
-    else:
-        lines = ["state  undisturbed     with gg measurement inserted"]
-        for label in report.undisturbed:
-            lines.append(
-                f"{label}     {report.undisturbed[label]:.12f}  {report.disturbed[label]:.12f}"
-            )
-        lines.append(f"undisturbed total: {sum(report.undisturbed.values()):.12f}")
-        lines.append(f"disturbed total:   {sum(report.disturbed.values()):.12f}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    lines = ["state  undisturbed     with gg measurement inserted"]
+    for label in report.undisturbed:
+        lines.append(
+            f"{label}     {report.undisturbed[label]:.12f}  {report.disturbed[label]:.12f}"
+        )
+    lines.append(f"undisturbed total: {sum(report.undisturbed.values()):.12f}")
+    lines.append(f"disturbed total:   {sum(report.disturbed.values()):.12f}")
+    return report.to_json_dict(), "\n".join(lines) + "\n", EXIT_OK
 
 
 _COMMANDS = {
@@ -282,7 +258,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        opts = _resolve(args)
+        payload, text, code = _COMMANDS[args.command](args, opts)
+        _emit(args, json.dumps(payload, indent=2) + "\n" if opts["format"] == "json" else text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

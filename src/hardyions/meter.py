@@ -274,12 +274,6 @@ class QubitPointer:
         return abs(self.amp_e) ** 2
 
 
-def qubit_plus() -> QubitPointer:
-    """The fiducial meter state (|g> + |e>) / sqrt(2)."""
-    r = 1.0 / math.sqrt(2.0)
-    return QubitPointer(r, r)
-
-
 def qubit_rotation_matrix(theta: float) -> np.ndarray:
     """Real rotation |g> -> cos(t/2)|g> + sin(t/2)|e>, |e> -> cos(t/2)|e> - sin(t/2)|g>.
 
@@ -290,7 +284,3 @@ def qubit_rotation_matrix(theta: float) -> np.ndarray:
     s = math.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
-
-def qubit_rotate(p: QubitPointer, theta: float) -> QubitPointer:
-    amp = qubit_rotation_matrix(theta) @ np.array([p.amp_g, p.amp_e])
-    return QubitPointer(amp[0], amp[1])

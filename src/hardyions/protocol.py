@@ -1,16 +1,18 @@
-"""Named experiments on the two-ion interferometer.
+"""Experiments on the two-ion interferometer, declared as data and run by one engine.
 
-The ideal sequence is first beamsplitters, annihilation pulse, second
-beamsplitters; post-selecting both ions in |gg> then succeeds with
-probability 1/16. The weak-measurement variants insert a meter coupling
-between the annihilation pulse and the second beamsplitters and condition
-the meter on that post-selection.
+An Experiment is a meter, the pulse sequence applied to |gg> x the meter's
+fiducial state, and the internal outcome post-selected at the end; evolve
+folds apply_unitary over the sequence. The ideal sequence is first
+beamsplitters, annihilation pulse, second beamsplitters; post-selecting
+both ions in |gg> then succeeds with probability 1/16. The weak
+measurements insert a meter coupling between the annihilation pulse and
+the second beamsplitters and condition the meter on that post-selection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import InvariantError, PostSelectionError
 from .meter import GaussianPointer, gaussian_mean_x, gaussian_second_moment
 from .pulses import (
     MeasurementInstrument,
+    PulseOp,
     annihilation_pulse,
     beamsplitter,
     light_shift_meter,
@@ -27,21 +30,31 @@ from .pulses import (
 )
 from .statecore import (
     BASIS_LABELS,
+    GG_INDEX,
     GaussianMeter,
     MeterSpace,
+    NoMeter,
     QubitMeter,
     SystemState,
     apply_unitary,
     init_ground,
-    internal_index,
     internal_probabilities,
     pointer_component,
     project_internal,
+    state_to_json_dict,
 )
 
-VARIANTS = ("ideal", "weak_gaussian", "third_ion", "strong_comparison")
-
 INTERMEDIATE_PROJECTOR_LABELS = ("gg", "ge", "eg", "ff")
+
+# The pulses without parameters, built once: those before the meter
+# coupling (first beamsplitters, annihilation) and after it (second
+# beamsplitters).
+BEAMSPLITTERS = (beamsplitter(1), beamsplitter(2))
+PREPARE = (*BEAMSPLITTERS, annihilation_pulse())
+RECOMBINE = BEAMSPLITTERS
+
+# The second beamsplitter pair as one internal matrix.
+_U2 = RECOMBINE[1].matrix @ RECOMBINE[0].matrix
 
 _LD = np.longdouble
 
@@ -55,7 +68,6 @@ class RunConfig:
     theta: float = 0.1
     shots: int = 100_000
     seed: int = 1
-    variant: str = "weak_gaussian"
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
@@ -66,8 +78,6 @@ class RunConfig:
             raise ValueError(f"shots must be non-negative, got {self.shots}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +116,8 @@ class IdealResult:
     probabilities: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        amps = {
-            label: [float(amp[0].real), float(amp[0].imag)]
-            for label, amp in zip(BASIS_LABELS, self.state.amplitudes)
-        }
         return {
-            "amplitudes": amps,
+            "amplitudes": state_to_json_dict(self.state),
             "probabilities": self.probabilities,
             "sum_of_squares": sum(self.probabilities.values()),
         }
@@ -119,7 +125,7 @@ class IdealResult:
 
 @dataclass(frozen=True)
 class ThirdIonReport:
-    """Post-selected meter populations for the third-ion variant."""
+    """Post-selected meter populations for the third-ion experiment."""
 
     theta: float
     excited_population: float
@@ -129,14 +135,7 @@ class ThirdIonReport:
     postselection_probability: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "excited_population": self.excited_population,
-            "reference_shift": self.reference_shift,
-            "deviation": self.deviation,
-            "relative_deviation": self.relative_deviation,
-            "postselection_probability": self.postselection_probability,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,41 +154,61 @@ class StrongComparisonReport:
     branches: tuple[StrongBranch, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "undisturbed": self.undisturbed,
-            "disturbed": self.disturbed,
-            "branches": [
-                {
-                    "label": b.label,
-                    "probability": b.probability,
-                    "probabilities": b.probabilities,
-                }
-                for b in self.branches
-            ],
-        }
+        return asdict(self)
 
 
-def _first_half(state: SystemState) -> SystemState:
-    """First beamsplitters and the annihilation pulse."""
-    for op in (beamsplitter(1), beamsplitter(2), annihilation_pulse()):
+def evolve(state: SystemState, sequence) -> SystemState:
+    """Apply the pulses of a sequence in order, each through apply_unitary."""
+    for op in sequence:
         state = apply_unitary(state, op)
     return state
 
 
-def _second_beamsplitters(state: SystemState) -> SystemState:
-    for op in (beamsplitter(1), beamsplitter(2)):
-        state = apply_unitary(state, op)
-    return state
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment as data.
+
+    meter is attached in its fiducial state to |gg>, sequence is applied
+    by evolve, and postselect is the index of the internal outcome the
+    meter is conditioned on.
+    """
+
+    meter: MeterSpace
+    sequence: tuple[PulseOp, ...]
+    postselect: int
+
+    def final_state(self) -> SystemState:
+        return evolve(init_ground(self.meter), self.sequence)
+
+    def run(self):
+        """Final state, post-selection probability and the conditional meter pointer."""
+        final = self.final_state()
+        label = BASIS_LABELS[self.postselect]
+        probability, conditional = project_internal(final, label)
+        return final, probability, pointer_component(conditional, label)
+
+
+IDEAL = Experiment(NoMeter(), (*PREPARE, *RECOMBINE), GG_INDEX)
+
+
+def weak_gaussian_experiment(a: float, sigma: float = 1.0) -> Experiment:
+    """Relative-coordinate Gaussian meter, its |gg> branch displaced by -a."""
+    return Experiment(GaussianMeter(sigma), (*PREPARE, light_shift_meter(a), *RECOMBINE), GG_INDEX)
+
+
+def third_ion_experiment(theta: float) -> Experiment:
+    """Third-ion qubit meter, rotated by theta when the system is in |gg>."""
+    return Experiment(QubitMeter(), (*PREPARE, partial_ccnot(theta), *RECOMBINE), GG_INDEX)
 
 
 def intermediate_state(meter: MeterSpace | None = None) -> SystemState:
     """The state between the annihilation pulse and the second beamsplitters."""
-    return _first_half(init_ground(meter))
+    return evolve(init_ground(meter), PREPARE)
 
 
 def run_ideal() -> IdealResult:
     """The bare interferometer without any meter coupling."""
-    state = _second_beamsplitters(intermediate_state())
+    state = IDEAL.final_state()
     return IdealResult(state, internal_probabilities(state))
 
 
@@ -202,17 +221,15 @@ def weak_values_postselected() -> dict[str, complex]:
     (-1, +1, +1, 0) and sum to one.
     """
     psi = intermediate_state().amplitudes[:, 0]
-    u2 = beamsplitter(2).matrix @ beamsplitter(1).matrix
-    gg = internal_index("gg")
-    denominator = (u2 @ psi)[gg]
+    denominator = (_U2 @ psi)[GG_INDEX]
     if abs(denominator) ** 2 < 1e-15:
         raise PostSelectionError("post-selection amplitude vanishes")
     values = {}
     for label in INTERMEDIATE_PROJECTOR_LABELS:
         projected = np.zeros_like(psi)
-        idx = internal_index(label)
+        idx = BASIS_LABELS.index(label)
         projected[idx] = psi[idx]
-        values[label] = complex((u2 @ projected)[gg] / denominator)
+        values[label] = complex((_U2 @ projected)[GG_INDEX] / denominator)
     return values
 
 
@@ -229,13 +246,6 @@ def closed_form_mean(a: float, sigma: float = 1.0) -> float:
     return float(value)
 
 
-def weak_gaussian_final_state(a: float, sigma: float = 1.0) -> SystemState:
-    """Full evolution with the relative-coordinate Gaussian meter attached."""
-    state = intermediate_state(GaussianMeter(sigma=sigma, centers=(0.0,)))
-    state = apply_unitary(state, light_shift_meter(a))
-    return _second_beamsplitters(state)
-
-
 def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
     """Weak measurement of the |gg> population via the light-shift meter.
 
@@ -245,9 +255,7 @@ def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
     """
     if a < 0.0 or not math.isfinite(a):
         raise ValueError(f"a must be a non-negative finite length, got {a}")
-    final = weak_gaussian_final_state(a, sigma)
-    probability, conditional = project_internal(final, "gg")
-    pointer = pointer_component(conditional, "gg")
+    _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
     mean = gaussian_mean_x(pointer)
     second = gaussian_second_moment(pointer)
     return WeakValueReport(
@@ -297,11 +305,8 @@ def run_third_ion(theta: float) -> ThirdIonReport:
     """
     if not -math.pi < theta < math.pi:
         raise ValueError(f"theta must lie in (-pi, pi), got {theta}")
-    state = intermediate_state(QubitMeter())
-    state = apply_unitary(state, partial_ccnot(theta))
-    state = _second_beamsplitters(state)
-    probability, conditional = project_internal(state, "gg")
-    excited = pointer_component(conditional, "gg").excited_population
+    _, probability, pointer = third_ion_experiment(theta).run()
+    excited = pointer.excited_population
     delta_p = math.sin(theta) / 2.0
     deviation = abs((0.5 - excited) - delta_p)
     relative = deviation / abs(delta_p) if delta_p != 0.0 else None
@@ -332,7 +337,7 @@ def run_strong_comparison(instrument: MeasurementInstrument | None = None) -> St
         if outcome.state is None:
             branches.append(StrongBranch(outcome.label, outcome.probability, {}))
             continue
-        table = internal_probabilities(_second_beamsplitters(outcome.state))
+        table = internal_probabilities(evolve(outcome.state, RECOMBINE))
         branches.append(StrongBranch(outcome.label, outcome.probability, table))
         for label, value in table.items():
             disturbed[label] += outcome.probability * value

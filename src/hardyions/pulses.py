@@ -2,11 +2,12 @@
 
 Every constructor returns a PulseOp acting on the composite internal x
 meter space. Internal pulses are plain 9 x 9 unitaries (identity on the
-meter); the light shift is an exact displacement of the Gaussian meter
-branches attached to |gg>, and the partial C2-NOT rotates a qubit meter
-conditioned on |gg>. A strong projective measurement is an instrument
-(probabilities plus collapsed states), not a PulseOp, and is therefore
-exempt from the unitarity check by type.
+meter); a coupling pulse acts on the meter attached to |gg> and is carried
+out by the meter class: the light shift is an exact displacement of the
+Gaussian meter branches, and the partial C2-NOT rotates a qubit meter. A
+strong projective measurement is an instrument (probabilities plus
+collapsed states), not a PulseOp, and is therefore exempt from the
+unitarity check by type.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from .errors import InvariantError
 from .meter import qubit_rotation_matrix
 from .statecore import (
     BASIS_LABELS,
+    GG_INDEX,
     GaussianMeter,
     N_INTERNAL,
+    QubitMeter,
     SystemState,
-    internal_index,
 )
 
 UNITARITY_TOL = 1e-12
 
-_GG = 0
-_EE = internal_index("ee")
-_FF = internal_index("ff")
+_EE = BASIS_LABELS.index("ee")
+_FF = BASIS_LABELS.index("ff")
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
@@ -59,97 +60,43 @@ class InternalPulseOp:
     def apply(self, state: SystemState) -> SystemState:
         return SystemState(self.matrix @ state.amplitudes, state.meter)
 
-    def composite_matrix(self, meter_dim: int = 1) -> np.ndarray:
-        return np.kron(self.matrix, np.eye(meter_dim, dtype=complex))
-
     def unitarity_defect(self) -> float:
         return _unitarity_defect(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
-class MeterConditionalPulseOp:
-    """A meter unitary applied when the internal state is the given target."""
+class CouplingPulseOp:
+    """A meter operation on the branches attached to |gg>, identity elsewhere.
 
-    label: str
-    target: int
-    meter_matrix: np.ndarray
-    meter_kind: str = "qubit"
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.meter_matrix, dtype=complex)
-        defect = _unitarity_defect(matrix)
-        if defect > UNITARITY_TOL:
-            raise InvariantError(f"{self.label} meter block is not unitary (defect {defect:.3e})")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        object.__setattr__(self, "meter_matrix", matrix)
-
-    def apply(self, state: SystemState) -> SystemState:
-        if state.meter.kind != self.meter_kind:
-            raise ValueError(
-                f"{self.label} requires a {self.meter_kind} meter, got {state.meter.kind}"
-            )
-        amps = state.amplitudes.copy()
-        amps[self.target] = self.meter_matrix @ amps[self.target]
-        return SystemState(amps, state.meter)
-
-    def composite_matrix(self) -> np.ndarray:
-        meter_dim = self.meter_matrix.shape[0]
-        blocks = [np.eye(meter_dim, dtype=complex)] * N_INTERNAL
-        blocks[self.target] = self.meter_matrix
-        full = np.zeros((N_INTERNAL * meter_dim,) * 2, dtype=complex)
-        for i, block in enumerate(blocks):
-            full[i * meter_dim : (i + 1) * meter_dim, i * meter_dim : (i + 1) * meter_dim] = block
-        return full
-
-    def unitarity_defect(self) -> float:
-        return _unitarity_defect(self.composite_matrix())
-
-
-@dataclass(frozen=True, eq=False)
-class MeterDisplacementPulseOp:
-    """Exact displacement of the Gaussian branches attached to one internal state.
-
-    A finite set of branch centers is not closed under translation, so
-    this operator has no finite square matrix; it acts by moving centers.
-    It is nevertheless exactly norm-preserving, because the Gram kernel
-    depends only on center differences.
+    The meter class carries out the action (GaussianMeter.couple or
+    QubitMeter.couple). defect is the unitarity defect of that action,
+    checked once, when the pulse is built.
     """
 
     label: str
-    target: int
-    displacement: float
+    meter_type: type
+    action: np.ndarray | float
+    defect: float
+
+    def __post_init__(self) -> None:
+        if self.defect > UNITARITY_TOL:
+            raise InvariantError(
+                f"{self.label} meter block is not unitary (defect {self.defect:.3e})"
+            )
 
     def apply(self, state: SystemState) -> SystemState:
-        if state.meter.kind != "gaussian":
-            raise ValueError(f"{self.label} requires a gaussian meter, got {state.meter.kind}")
-        centers = list(state.meter.centers)
-        old_dim = len(centers)
-        row = state.amplitudes[self.target]
-        moves = []
-        for col, amp in enumerate(row):
-            if amp == 0.0:
-                continue
-            dest = centers[col] + self.displacement
-            try:
-                j = centers.index(dest)
-            except ValueError:
-                centers.append(dest)
-                j = len(centers) - 1
-            moves.append((col, j, amp))
-        amps = np.zeros((N_INTERNAL, len(centers)), dtype=complex)
-        amps[:, :old_dim] = state.amplitudes
-        amps[self.target, :] = 0.0
-        for _, j, amp in moves:
-            amps[self.target, j] += amp
-        return SystemState(amps, GaussianMeter(state.meter.sigma, tuple(centers)))
+        if type(state.meter) is not self.meter_type:
+            raise ValueError(
+                f"{self.label} requires a {self.meter_type.__name__}, "
+                f"got {type(state.meter).__name__}"
+            )
+        return state.meter.couple(state.amplitudes, GG_INDEX, self.action)
 
     def unitarity_defect(self) -> float:
-        # exact by construction: every pairwise center difference is conserved
-        return 0.0
+        return self.defect
 
 
-PulseOp = InternalPulseOp | MeterConditionalPulseOp | MeterDisplacementPulseOp
+PulseOp = InternalPulseOp | CouplingPulseOp
 
 
 def beamsplitter(ion: int) -> InternalPulseOp:
@@ -181,7 +128,7 @@ def annihilation_pulse() -> InternalPulseOp:
     return InternalPulseOp("annihilation_pulse", matrix)
 
 
-def light_shift_meter(a: float) -> MeterDisplacementPulseOp:
+def light_shift_meter(a: float) -> CouplingPulseOp:
     """Conditional light shift: displace the |gg> meter branches by -a.
 
     The adiabatic turn-on and wavepacket rescaling of the physical pulse
@@ -190,10 +137,11 @@ def light_shift_meter(a: float) -> MeterDisplacementPulseOp:
     a = float(a)
     if not math.isfinite(a):
         raise ValueError(f"displacement must be finite, got {a}")
-    return MeterDisplacementPulseOp(f"light_shift(a={a})", _GG, -a)
+    # exact by construction: every pairwise center difference is conserved
+    return CouplingPulseOp(f"light_shift(a={a})", GaussianMeter, -a, 0.0)
 
 
-def partial_ccnot(theta: float) -> MeterConditionalPulseOp:
+def partial_ccnot(theta: float) -> CouplingPulseOp:
     """Rotate the qubit meter by theta when both system ions are in |g>.
 
     theta = pi would be the full doubly-controlled NOT; small theta makes
@@ -202,8 +150,10 @@ def partial_ccnot(theta: float) -> MeterConditionalPulseOp:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
-    return MeterConditionalPulseOp(
-        f"partial_ccnot(theta={theta})", _GG, qubit_rotation_matrix(theta)
+    rotation = qubit_rotation_matrix(theta)
+    rotation.flags.writeable = False
+    return CouplingPulseOp(
+        f"partial_ccnot(theta={theta})", QubitMeter, rotation, _unitarity_defect(rotation)
     )
 
 
@@ -213,7 +163,7 @@ def projector_onto(labels) -> np.ndarray:
         labels = [labels]
     matrix = np.zeros((N_INTERNAL, N_INTERNAL), dtype=complex)
     for label in labels:
-        idx = internal_index(label)
+        idx = BASIS_LABELS.index(label)
         matrix[idx, idx] = 1.0
     return matrix
 
@@ -276,24 +226,3 @@ def strong_measurement(projectors=None) -> MeasurementInstrument:
             proj = projector_onto(proj)
         normalized.append((label, proj))
     return MeasurementInstrument(normalized)
-
-
-_PULSE_REGISTRY = {
-    "beamsplitter": beamsplitter,
-    "annihilation": annihilation_pulse,
-    "light_shift": light_shift_meter,
-    "partial_ccnot": partial_ccnot,
-}
-
-
-def pulse_from_config(entry: dict) -> PulseOp:
-    """Build a pulse from a run-config entry {"pulse": name, "params": {...}}."""
-    name = entry.get("pulse")
-    if name not in _PULSE_REGISTRY:
-        raise ValueError(f"unknown pulse {name!r}, expected one of {sorted(_PULSE_REGISTRY)}")
-    params = entry.get("params", {})
-    return _PULSE_REGISTRY[name](**params)
-
-
-def sequence_from_config(entries) -> list[PulseOp]:
-    return [pulse_from_config(entry) for entry in entries]

@@ -11,21 +11,19 @@ bit and batches may be evaluated independently and merged in index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .meter import GaussianPointer, gaussian_norm_sq, to_grid
-from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_final_state
-from .statecore import BASIS_LABELS, internal_probabilities
+from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_experiment
+from .statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
 BATCH_SIZE = 1 << 17
 MIN_RELIABLE_ACCEPTED = 30
 
 SAMPLING_GRID_POINTS = 4096
 SAMPLING_PADDING_SIGMAS = 8.0
-
-_GG_OUTCOME = BASIS_LABELS.index("gg")
 
 
 @dataclass(frozen=True)
@@ -40,14 +38,7 @@ class ShotResult:
     std_error_reliable: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "total": self.total,
-            "sample_mean": self.sample_mean,
-            "std_error": self.std_error,
-            "seed": self.seed,
-            "std_error_reliable": self.std_error_reliable,
-        }
+        return asdict(self)
 
 
 def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray]:
@@ -93,15 +84,12 @@ class BatchTotals:
 
 
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
-    if config.variant != "weak_gaussian":
-        raise ValueError(
-            f"Monte-Carlo sampling covers the weak_gaussian variant, got {config.variant!r}"
-        )
-    report = run_weak_gaussian(config.a, config.sigma)
-    table = internal_probabilities(weak_gaussian_final_state(config.a, config.sigma))
+    """Evolve the weak experiment once: its outcome table and the conditional pointer's CDF."""
+    final, _, pointer = weak_gaussian_experiment(config.a, config.sigma).run()
+    table = internal_probabilities(final)
     probabilities = np.array([table[label] for label in BASIS_LABELS])
     probabilities /= probabilities.sum()
-    cdf, xs = _inverse_cdf_table(report.conditional_pointer)
+    cdf, xs = _inverse_cdf_table(pointer)
     return PreparedExperiment(config, probabilities, cdf, xs)
 
 
@@ -119,7 +107,7 @@ def draw_batch(
     """Outcome indices and pointer samples (one per accepted shot) for one batch."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
     outcomes = rng.choice(len(BASIS_LABELS), size=size, p=prepared.outcome_probabilities)
-    accepted = int(np.count_nonzero(outcomes == _GG_OUTCOME))
+    accepted = int(np.count_nonzero(outcomes == GG_INDEX))
     samples = np.interp(rng.random(accepted), prepared.cdf, prepared.xs)
     return outcomes, samples
 

@@ -21,69 +21,32 @@ import numpy as np
 
 from . import meter as meter_mod
 from .errors import InvariantError, PostSelectionError
-from .meter import GaussianPointer, GridPointer, QubitPointer
+from .meter import GaussianPointer, QubitPointer
 
 if TYPE_CHECKING:
     from .pulses import PulseOp
 
 LEVELS = ("g", "e", "f")
-LEVEL_INDEX = {level: i for i, level in enumerate(LEVELS)}
 N_INTERNAL = 9
 BASIS_LABELS = tuple(a + b for a in LEVELS for b in LEVELS)
+
+# |gg> is both the outcome every experiment post-selects and the internal
+# state the meter couplings are conditioned on.
+GG_INDEX = BASIS_LABELS.index("gg")
 
 NORM_TOL = 1e-12
 POSTSELECTION_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class IonBasisIndex:
-    """Internal product basis state, e.g. IonBasisIndex('g', 'e') for |ge>."""
-
-    ion1: str
-    ion2: str
-
-    def __post_init__(self) -> None:
-        for ion in (self.ion1, self.ion2):
-            if ion not in LEVELS:
-                raise ValueError(f"unknown level {ion!r}, expected one of {LEVELS}")
-
-    def to_int(self) -> int:
-        return 3 * LEVEL_INDEX[self.ion1] + LEVEL_INDEX[self.ion2]
-
-    @classmethod
-    def from_int(cls, index: int) -> "IonBasisIndex":
-        if not 0 <= index < N_INTERNAL:
-            raise ValueError(f"internal index {index} out of range 0..8")
-        return cls(LEVELS[index // 3], LEVELS[index % 3])
-
-    @classmethod
-    def from_label(cls, label: str) -> "IonBasisIndex":
-        if len(label) != 2:
-            raise ValueError(f"expected a two-letter label like 'gg', got {label!r}")
-        return cls(label[0], label[1])
-
-    @property
-    def label(self) -> str:
-        return self.ion1 + self.ion2
-
-
-def internal_index(target) -> int:
-    """Coerce an IonBasisIndex, label string, or integer to the 0..8 index."""
-    if isinstance(target, IonBasisIndex):
-        return target.to_int()
-    if isinstance(target, str):
-        return IonBasisIndex.from_label(target).to_int()
-    return IonBasisIndex.from_int(int(target)).to_int()
-
-
 # --- meter spaces -----------------------------------------------------------
+#
+# Each meter class owns its basis (dim, fiducial), its metric (overlap), its
+# readout (pointer) and, for the meters a pulse couples to, that coupling.
 
 
 @dataclass(frozen=True)
 class NoMeter:
     """Placeholder meter for purely internal dynamics (M = 1)."""
-
-    kind: str = field(default="none", init=False)
 
     @property
     def dim(self) -> int:
@@ -92,8 +55,11 @@ class NoMeter:
     def fiducial(self) -> np.ndarray:
         return np.ones(1, dtype=complex)
 
-    def overlap(self, bra: np.ndarray, ket: np.ndarray) -> complex:
+    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "NoMeter") -> complex:
         return complex(np.vdot(bra, ket))
+
+    def pointer(self, row: np.ndarray, label: str):
+        raise ValueError("state has no meter attached")
 
 
 @dataclass(frozen=True)
@@ -102,7 +68,6 @@ class GaussianMeter:
 
     sigma: float
     centers: tuple[float, ...] = (0.0,)
-    kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
@@ -123,60 +88,52 @@ class GaussianMeter:
         amps[0] = 1.0
         return amps
 
-    def overlap(self, bra: np.ndarray, ket: np.ndarray) -> complex:
-        gram = meter_mod.gram_matrix(self.sigma, self.centers)
-        return complex(np.einsum("im,mn,in->", np.conj(bra), gram, ket))
+    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "GaussianMeter") -> complex:
+        """Gram-kernel inner product; the ket may carry a different center list."""
+        if ket_meter.sigma != self.sigma:
+            raise ValueError("gaussian meters must share sigma")
+        kernel = meter_mod.cross_gram(self.sigma, self.centers, ket_meter.centers)
+        return complex(np.einsum("im,mn,in->", np.conj(bra), kernel, ket))
 
+    def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
+        """The branches of one component as a GaussianPointer; exact-zero branches are dropped."""
+        branches = tuple((complex(c), d) for c, d in zip(row, self.centers) if c != 0.0)
+        if not branches:
+            raise ValueError(f"component {label} carries no meter amplitude")
+        return GaussianPointer(self.sigma, branches)
 
-@dataclass(frozen=True)
-class GridMeter:
-    """Meter space sampled on a uniform position grid (trapezoid metric)."""
+    def couple(self, amplitudes: np.ndarray, target: int, shift: float) -> "SystemState":
+        """Displace the branches attached to one internal state by shift.
 
-    sigma: float
-    xmin: float
-    xmax: float
-    n: int
-
-    kind: str = field(default="grid", init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
-        if not self.xmax > self.xmin:
-            raise ValueError(f"need xmax > xmin, got [{self.xmin}, {self.xmax}]")
-        if self.n < 2:
-            raise ValueError("need at least two grid points")
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.n)
-
-    @property
-    def weights(self) -> np.ndarray:
-        dx = (self.xmax - self.xmin) / (self.n - 1)
-        w = np.full(self.n, dx)
-        w[0] = w[-1] = dx / 2.0
-        return w
-
-    def fiducial(self) -> np.ndarray:
-        ground = GaussianPointer(self.sigma, ((1.0, 0.0),))
-        values = meter_mod.evaluate_gaussian(ground, self.xs)
-        norm_sq = float(np.sum(self.weights * np.abs(values) ** 2))
-        return values / math.sqrt(norm_sq)
-
-    def overlap(self, bra: np.ndarray, ket: np.ndarray) -> complex:
-        return complex(np.einsum("im,m,im->", np.conj(bra), self.weights, ket))
+        A finite set of branch centers is not closed under translation, so
+        this coupling has no finite square matrix; it acts by moving centers.
+        It is nevertheless exactly norm-preserving, because the Gram kernel
+        depends only on center differences.
+        """
+        centers = list(self.centers)
+        old_dim = len(centers)
+        moves = []
+        for col, amp in enumerate(amplitudes[target]):
+            if amp == 0.0:
+                continue
+            dest = centers[col] + shift
+            try:
+                j = centers.index(dest)
+            except ValueError:
+                centers.append(dest)
+                j = len(centers) - 1
+            moves.append((j, amp))
+        amps = np.zeros((N_INTERNAL, len(centers)), dtype=complex)
+        amps[:, :old_dim] = amplitudes
+        amps[target, :] = 0.0
+        for j, amp in moves:
+            amps[target, j] += amp
+        return SystemState(amps, GaussianMeter(self.sigma, tuple(centers)))
 
 
 @dataclass(frozen=True)
 class QubitMeter:
     """Third-ion meter with internal states (g, e); fiducial (|g> + |e>) / sqrt(2)."""
-
-    kind: str = field(default="qubit", init=False)
 
     @property
     def dim(self) -> int:
@@ -186,11 +143,20 @@ class QubitMeter:
         r = 1.0 / math.sqrt(2.0)
         return np.array([r, r], dtype=complex)
 
-    def overlap(self, bra: np.ndarray, ket: np.ndarray) -> complex:
+    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "QubitMeter") -> complex:
         return complex(np.vdot(bra, ket))
 
+    def pointer(self, row: np.ndarray, label: str) -> QubitPointer:
+        return QubitPointer(row[0], row[1])
 
-MeterSpace = NoMeter | GaussianMeter | GridMeter | QubitMeter
+    def couple(self, amplitudes: np.ndarray, target: int, rotation: np.ndarray) -> "SystemState":
+        """Apply a 2 x 2 meter unitary to the meter attached to one internal state."""
+        amps = amplitudes.copy()
+        amps[target] = rotation @ amps[target]
+        return SystemState(amps, self)
+
+
+MeterSpace = NoMeter | GaussianMeter | QubitMeter
 
 
 # --- system states ----------------------------------------------------------
@@ -216,7 +182,7 @@ class SystemState:
 
     @property
     def norm_sq(self) -> float:
-        return self.meter.overlap(self.amplitudes, self.amplitudes).real
+        return self.meter.overlap(self.amplitudes, self.amplitudes, self.meter).real
 
     @property
     def norm(self) -> float:
@@ -234,7 +200,7 @@ def init_ground(meter: MeterSpace | None = None) -> SystemState:
     if meter is None:
         meter = NoMeter()
     amps = np.zeros((N_INTERNAL, meter.dim), dtype=complex)
-    amps[0] = meter.fiducial()
+    amps[GG_INDEX] = meter.fiducial()
     return SystemState(amps, meter)
 
 
@@ -249,14 +215,14 @@ def apply_unitary(state: SystemState, op: "PulseOp") -> SystemState:
     return out
 
 
-def project_internal(state: SystemState, target) -> tuple[float, SystemState]:
-    """Project onto one internal basis state.
+def project_internal(state: SystemState, target: str) -> tuple[float, SystemState]:
+    """Project onto one internal basis state, named by its label ('gg' ... 'ff').
 
     Returns the outcome probability (meter metric included) and the
     renormalized conditional state. Raises PostSelectionError when the
     probability is below 1e-15.
     """
-    idx = internal_index(target)
+    idx = BASIS_LABELS.index(target)
     amps = np.zeros_like(state.amplitudes)
     amps[idx] = state.amplitudes[idx]
     projected = SystemState(amps, state.meter)
@@ -280,39 +246,21 @@ def internal_probabilities(state: SystemState) -> dict[str, float]:
 
 def state_overlap(bra: SystemState, ket: SystemState) -> complex:
     """Inner product <bra|ket>; gaussian meters may differ in their center lists."""
-    if bra.meter.kind != ket.meter.kind:
-        raise ValueError(f"meter kinds differ: {bra.meter.kind} vs {ket.meter.kind}")
-    if bra.meter.kind == "gaussian":
-        if bra.meter.sigma != ket.meter.sigma:
-            raise ValueError("gaussian meters must share sigma")
-        kernel = meter_mod.cross_gram(bra.meter.sigma, bra.meter.centers, ket.meter.centers)
-        return complex(np.einsum("im,mn,in->", np.conj(bra.amplitudes), kernel, ket.amplitudes))
-    if bra.meter != ket.meter:
-        raise ValueError("states live on different meter spaces")
-    return bra.meter.overlap(bra.amplitudes, ket.amplitudes)
-
-
-def pointer_component(state: SystemState, target):
-    """The meter state attached to one internal component.
-
-    Returns a GaussianPointer, GridPointer, or QubitPointer according to
-    the meter kind; exact-zero gaussian branches are dropped.
-    """
-    idx = internal_index(target)
-    row = state.amplitudes[idx]
-    m = state.meter
-    if m.kind == "gaussian":
-        branches = tuple(
-            (complex(c), d) for c, d in zip(row, m.centers) if c != 0.0
+    if type(bra.meter) is not type(ket.meter):
+        raise ValueError(
+            f"meter kinds differ: {type(bra.meter).__name__} vs {type(ket.meter).__name__}"
         )
-        if not branches:
-            raise ValueError(f"component {BASIS_LABELS[idx]} carries no meter amplitude")
-        return GaussianPointer(m.sigma, branches)
-    if m.kind == "qubit":
-        return QubitPointer(row[0], row[1])
-    if m.kind == "grid":
-        return GridPointer(m.xmin, m.xmax, m.n, row)
-    raise ValueError("state has no meter attached")
+    return bra.meter.overlap(bra.amplitudes, ket.amplitudes, ket.meter)
+
+
+def pointer_component(state: SystemState, target: str):
+    """The meter state attached to one internal component, named by its label.
+
+    The meter reads it out: a GaussianPointer (exact-zero branches dropped)
+    or a QubitPointer.
+    """
+    row = state.amplitudes[BASIS_LABELS.index(target)]
+    return state.meter.pointer(row, target)
 
 
 def state_to_json_dict(state: SystemState) -> dict:

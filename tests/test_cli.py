@@ -207,6 +207,21 @@ class TestPlumbing:
         assert code == 2
         assert "key=value" in err
 
+    def test_config_file_format_checked(self, capsys, tmp_path):
+        # the file's format must be one the subcommand offers, like --format
+        config = tmp_path / "run.cfg"
+        config.write_text("a = 0.2\nformat = yaml\n")
+        code, out, err = run_cli(capsys, "weak", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "yaml" in err
+        config.write_text("format = csv\n")
+        code, _, _ = run_cli(capsys, "weak", "--config", str(config))
+        assert code == 2
+        code, out, _ = run_cli(capsys, "scan", "--steps", "2", "--config", str(config))
+        assert code == 0
+        assert out.startswith("a_over_sigma,")
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("warp = 9\n")

@@ -15,10 +15,10 @@ from hardyions.meter import (
     gaussian_variance,
     grid_moments,
     grid_to_csv,
-    qubit_plus,
-    qubit_rotate,
     to_grid,
 )
+from hardyions.pulses import partial_ccnot
+from hardyions.statecore import GG_INDEX, N_INTERNAL, QubitMeter, SystemState, pointer_component
 
 HALF_OVERLAP_SEPARATION = math.sqrt(8.0 * math.log(2.0))
 
@@ -202,22 +202,34 @@ class TestOracleEquivalence:
             checked += 1
 
 
+def ccnot_rotate(p, theta):
+    # the qubit meter attached to |gg> after the partial C2-NOT by theta
+    amps = np.zeros((N_INTERNAL, 2), dtype=complex)
+    amps[GG_INDEX] = [p.amp_g, p.amp_e]
+    state = partial_ccnot(theta).apply(SystemState(amps, QubitMeter()))
+    return pointer_component(state, "gg")
+
+
+def fiducial_pointer():
+    return QubitPointer(*QubitMeter().fiducial())
+
+
 class TestQubit:
     def test_zero_angle_is_identity(self):
-        p = qubit_plus()
-        rotated = qubit_rotate(p, 0.0)
+        p = fiducial_pointer()
+        rotated = ccnot_rotate(p, 0.0)
         assert rotated.amp_g == p.amp_g
         assert rotated.amp_e == p.amp_e
 
     def test_pi_flips_ground(self):
-        p = qubit_rotate(QubitPointer(1.0, 0.0), math.pi)
+        p = ccnot_rotate(QubitPointer(1.0, 0.0), math.pi)
         assert abs(p.amp_g) < 1e-15
         assert abs(abs(p.amp_e) - 1.0) < 1e-15
 
     def test_excited_population_shift(self):
         # rotating (|g>+|e>)/sqrt2 by theta gives P_e = (1 + sin theta) / 2
         for theta in (0.01, 0.1, 0.5):
-            p = qubit_rotate(qubit_plus(), theta)
+            p = ccnot_rotate(fiducial_pointer(), theta)
             assert p.excited_population == pytest.approx(
                 0.5 * (1.0 + math.sin(theta)), abs=1e-14
             )
@@ -229,10 +241,10 @@ class TestQubit:
             amp /= np.linalg.norm(amp)
             p = QubitPointer(amp[0], amp[1])
             theta = rng.uniform(-3, 3)
-            q = qubit_rotate(p, theta)
+            q = ccnot_rotate(p, theta)
             norm_sq = abs(q.amp_g) ** 2 + abs(q.amp_e) ** 2
             assert abs(norm_sq - 1.0) < 1e-14
-            back = qubit_rotate(q, -theta)
+            back = ccnot_rotate(q, -theta)
             assert back.amp_g == pytest.approx(p.amp_g, abs=1e-14)
             assert back.amp_e == pytest.approx(p.amp_e, abs=1e-14)
 

@@ -12,16 +12,19 @@ from hardyions.meter import (
     to_grid,
 )
 from hardyions.protocol import (
+    IDEAL,
     RunConfig,
     WeakValueReport,
     closed_form_mean,
+    evolve,
     intermediate_state,
     run_ideal,
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
     third_ion_excited_population,
-    weak_gaussian_final_state,
+    third_ion_experiment,
+    weak_gaussian_experiment,
     weak_limit_check,
     weak_values_postselected,
 )
@@ -30,10 +33,40 @@ from hardyions.statecore import (
     BASIS_LABELS,
     SystemState,
     apply_unitary,
+    init_ground,
     internal_probabilities,
 )
 
 SIGN_CHANGE = math.sqrt(8.0 * math.log(2.0))
+
+
+class TestEngine:
+    def test_evolve_folds_apply_unitary(self):
+        state = init_ground()
+        for op in IDEAL.sequence:
+            state = apply_unitary(state, op)
+        np.testing.assert_array_equal(evolve(init_ground(), IDEAL.sequence).amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(run_ideal().state.amplitudes, state.amplitudes)
+
+    def test_experiments_share_the_constant_pulses(self):
+        weak = weak_gaussian_experiment(0.1).sequence
+        third = third_ion_experiment(0.1).sequence
+        assert weak[:3] == third[:3] == IDEAL.sequence[:3]
+        assert weak[4:] == third[4:] == IDEAL.sequence[3:]
+        assert [op.label for op in IDEAL.sequence] == [
+            "beamsplitter(ion=1)",
+            "beamsplitter(ion=2)",
+            "annihilation_pulse",
+            "beamsplitter(ion=1)",
+            "beamsplitter(ion=2)",
+        ]
+
+    def test_run_postselects_gg(self):
+        final, probability, pointer = weak_gaussian_experiment(0.3).run()
+        report = run_weak_gaussian(0.3)
+        assert probability == report.postselection_probability
+        assert pointer.branches == report.conditional_pointer.branches
+        assert probability == pytest.approx(internal_probabilities(final)["gg"], rel=1e-14)
 
 
 class TestIdealSequence:
@@ -241,7 +274,6 @@ class TestConfigAndReports:
             {"sigma": -1.0},
             {"a": -0.1},
             {"shots": -5},
-            {"variant": "banana"},
             {"theta": math.inf},
         ],
     )
@@ -272,6 +304,6 @@ class TestConfigAndReports:
         assert data["weak_values"]["gg"] == [pytest.approx(-1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12)]
 
     def test_final_state_has_two_branches(self):
-        state = weak_gaussian_final_state(0.2)
+        state = weak_gaussian_experiment(0.2).final_state()
         assert state.meter.centers == (0.0, -0.2)
         assert abs(state.norm - 1.0) < 1e-12

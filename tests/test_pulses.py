@@ -11,8 +11,6 @@ from hardyions.pulses import (
     light_shift_meter,
     partial_ccnot,
     projector_onto,
-    pulse_from_config,
-    sequence_from_config,
     strong_measurement,
 )
 from hardyions.statecore import (
@@ -131,9 +129,9 @@ class TestLightShift:
         assert abs(state_overlap(back, state) - 1.0) < 1e-12
 
     def test_requires_gaussian_meter(self):
-        with pytest.raises(ValueError, match="gaussian"):
+        with pytest.raises(ValueError, match="GaussianMeter"):
             light_shift_meter(0.1).apply(init_ground())
-        with pytest.raises(ValueError, match="gaussian"):
+        with pytest.raises(ValueError, match="GaussianMeter"):
             light_shift_meter(0.1).apply(init_ground(QubitMeter()))
 
     def test_commutes_with_internal_unitary_fixing_gg(self):
@@ -176,7 +174,7 @@ class TestPartialCcnot:
         np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
     def test_requires_qubit_meter(self):
-        with pytest.raises(ValueError, match="qubit"):
+        with pytest.raises(ValueError, match="QubitMeter"):
             partial_ccnot(0.1).apply(init_ground())
 
 
@@ -270,27 +268,3 @@ class TestStrongMeasurement:
         outcomes = instrument.measure(self.intermediate())
         assert outcomes[0].probability == pytest.approx(0.25, abs=1e-12)
 
-
-class TestPulseRegistry:
-    def test_sequence_from_config(self):
-        entries = [
-            {"pulse": "beamsplitter", "params": {"ion": 1}},
-            {"pulse": "beamsplitter", "params": {"ion": 2}},
-            {"pulse": "annihilation"},
-            {"pulse": "light_shift", "params": {"a": 0.05}},
-        ]
-        ops = sequence_from_config(entries)
-        assert [op.label for op in ops] == [
-            "beamsplitter(ion=1)",
-            "beamsplitter(ion=2)",
-            "annihilation_pulse",
-            "light_shift(a=0.05)",
-        ]
-
-    def test_unknown_pulse_rejected(self):
-        with pytest.raises(ValueError, match="unknown pulse"):
-            pulse_from_config({"pulse": "teleport"})
-
-    def test_partial_ccnot_spec(self):
-        op = pulse_from_config({"pulse": "partial_ccnot", "params": {"theta": 0.2}})
-        assert op.label == "partial_ccnot(theta=0.2)"

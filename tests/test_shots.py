@@ -86,10 +86,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment_mc(RunConfig(shots=0))
 
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            run_experiment_mc(RunConfig(variant="ideal", shots=10))
-
     def test_zero_accepted_is_flagged(self):
         # with one shot and ~94% rejection, some small seed must reject
         result = None
@@ -133,6 +129,17 @@ class TestBatching:
         result, _, samples = run_experiment_mc(config, keep_samples=True)
         direct = samples.std(ddof=1) / math.sqrt(len(samples))
         assert result.std_error == pytest.approx(direct, rel=1e-12)
+
+    def test_prepare_evolves_the_experiment_once(self, monkeypatch):
+        from hardyions import protocol
+
+        calls = []
+        apply = protocol.apply_unitary
+        monkeypatch.setattr(
+            protocol, "apply_unitary", lambda state, op: calls.append(op.label) or apply(state, op)
+        )
+        prepare_experiment(RunConfig(a=0.05))
+        assert calls == [op.label for op in protocol.weak_gaussian_experiment(0.05).sequence]
 
     def test_merge_empty_batch(self):
         merged = merge_shot_totals([BatchTotals(0, 50, 0.0, 0.0)], seed=0)
