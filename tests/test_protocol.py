@@ -274,6 +274,7 @@ class TestConfigAndReports:
             {"sigma": -1.0},
             {"a": -0.1},
             {"shots": -5},
+            {"sigma": math.inf},
             {"theta": math.inf},
         ],
     )
