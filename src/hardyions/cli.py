@@ -9,10 +9,12 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
+
+import numpy as np
 
 from .errors import InvariantError, PostSelectionError
 from .protocol import (
@@ -199,6 +201,27 @@ def _cmd_third_ion(args, opts):
     return report.to_json_dict(), text, EXIT_OK
 
 
+_REJECTED_ROW = "%d,0,\r\n"
+
+
+def _write_per_shot_batch(write, first_shot, outcomes, samples) -> None:
+    """Write one batch's per-shot CSV rows, each run of rejected shots in one call.
+
+    The bytes are those the csv module writes: rows end in \\r\\n and
+    x_sample is the repr of the float, empty on rejected shots.
+    """
+    shot = first_shot
+    accepted_shots = (np.flatnonzero(outcomes == GG_INDEX) + first_shot).tolist()
+    for accepted, x in zip(accepted_shots, samples.tolist()):
+        if accepted > shot:
+            write(_REJECTED_ROW * (accepted - shot) % tuple(range(shot, accepted)))
+        write(f"{accepted},1,{x!r}\r\n")
+        shot = accepted + 1
+    end = first_shot + len(outcomes)
+    if end > shot:
+        write(_REJECTED_ROW * (end - shot) % tuple(range(shot, end)))
+
+
 def _cmd_mc(args, opts):
     config = RunConfig(
         a=opts["a"] * opts["sigma"],
@@ -207,17 +230,10 @@ def _cmd_mc(args, opts):
         seed=opts["seed"],
     )
     if args.per_shot:
-        result, outcomes, samples = run_experiment_mc(config, keep_samples=True)
+        # opened before sampling, so an unwritable path fails before any batch is drawn
         with open(args.per_shot, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shot", "accepted", "x_sample"])
-            taken = 0
-            for shot, outcome in enumerate(outcomes):
-                if outcome == GG_INDEX:
-                    writer.writerow([shot, 1, repr(float(samples[taken]))])
-                    taken += 1
-                else:
-                    writer.writerow([shot, 0, ""])
+            fh.write("shot,accepted,x_sample\r\n")
+            result = run_experiment_mc(config, on_batch=partial(_write_per_shot_batch, fh.write))
     else:
         result = run_experiment_mc(config)
     text = (

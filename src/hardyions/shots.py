@@ -11,6 +11,7 @@ bit and batches may be evaluated independently and merged in index order.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -156,30 +157,27 @@ def merge_shot_totals(totals, seed: int) -> ShotResult:
 
 
 def run_experiment_mc(
-    config: RunConfig, keep_samples: bool = False
-) -> ShotResult | tuple[ShotResult, np.ndarray, np.ndarray]:
+    config: RunConfig, on_batch: Callable[[int, np.ndarray, np.ndarray], None] | None = None
+) -> ShotResult:
     """Run the full Monte-Carlo experiment.
 
-    Returns a ShotResult, or with keep_samples=True a tuple
-    (ShotResult, outcome indices, pointer samples) where samples align
-    with the accepted shots in order.
+    With on_batch, calls on_batch(first_shot, outcomes, samples) once per
+    batch, in shot order: the index of the batch's first shot, its outcome
+    indices, and its pointer samples, one per accepted shot in order. No
+    batch is kept after its call, so memory does not grow with the shot count.
     """
     if config.shots < 1:
         raise ValueError(f"need at least one shot, got {config.shots}")
     prepared = prepare_experiment(config)
     totals = []
-    all_outcomes = []
-    all_samples = []
+    first_shot = 0
     for batch_index, size in enumerate(batch_plan(config.shots)):
         outcomes, samples = draw_batch(prepared, batch_index, size)
         totals.append(_batch_totals(samples, size))
-        if keep_samples:
-            all_outcomes.append(outcomes)
-            all_samples.append(samples)
-    result = merge_shot_totals(totals, config.seed)
-    if keep_samples:
-        return result, np.concatenate(all_outcomes), np.concatenate(all_samples)
-    return result
+        if on_batch is not None:
+            on_batch(first_shot, outcomes, samples)
+        first_shot += size
+    return merge_shot_totals(totals, config.seed)
 
 
 def shots_required(a: float, sigma: float = 1.0, k_sigma: float = 3.0) -> int:

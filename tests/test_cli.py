@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from hardyions import shots
 from hardyions.cli import main
+from hardyions.protocol import RunConfig
+from hardyions.statecore import GG_INDEX
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +146,101 @@ class TestMonteCarlo:
         assert len(accepted_rows) == payload["accepted"]
         assert all(r["x_sample"] == "" for r in rows if r["accepted"] == "0")
         assert all(r["x_sample"] != "" for r in accepted_rows)
+
+
+def write_reference_per_shot(path, batches):
+    """The per-shot file as a csv-module writer loop over every shot writes it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["shot", "accepted", "x_sample"])
+        for first_shot, outcomes, samples in batches:
+            taken = 0
+            for offset, outcome in enumerate(outcomes):
+                if outcome == GG_INDEX:
+                    writer.writerow([first_shot + offset, 1, repr(float(samples[taken]))])
+                    taken += 1
+                else:
+                    writer.writerow([first_shot + offset, 0, ""])
+
+
+class TestPerShotWriter:
+    def test_rows_match_csv_module_across_batches(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(shots, "BATCH_SIZE", 5)
+        seen = set()
+        for shot_count, seed in [(1, 0), (203, 1), (203, 2), (203, 3), (200, 4), (203, 5), (203, 6)]:
+            path = tmp_path / f"{seed}.csv"
+            code, out, _ = run_cli(
+                capsys, "mc", "--a", "0.3", "--shots", str(shot_count), "--seed", str(seed),
+                "--per-shot", str(path),
+            )
+            batches = []
+            result = shots.run_experiment_mc(
+                RunConfig(a=0.3, shots=shot_count, seed=seed),
+                on_batch=lambda *batch: batches.append(batch),
+            )
+            assert code == (3 if result.accepted == 0 else 0)
+            assert json.loads(out) == result.to_json_dict()
+            write_reference_per_shot(tmp_path / "reference.csv", batches)
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            for _, outcomes, _ in batches:
+                hits = outcomes == GG_INDEX
+                if not hits.any():
+                    seen.add("batch without an accepted shot")
+                if hits[0]:
+                    seen.add("accepted first row")
+                if hits[-1]:
+                    seen.add("accepted last row")
+                if (hits[1:] & hits[:-1]).any():
+                    seen.add("two accepted rows in a row")
+            if len(batches[-1][1]) < shots.BATCH_SIZE:
+                seen.add("final partial batch")
+            if result.accepted == 0:
+                seen.add("run without an accepted shot")
+        assert seen == {
+            "batch without an accepted shot",
+            "accepted first row",
+            "accepted last row",
+            "two accepted rows in a row",
+            "final partial batch",
+            "run without an accepted shot",
+        }
+
+    def test_memory_stays_at_one_batch(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(shots, "BATCH_SIZE", 1 << 15)
+
+        def peak_bytes(batch_count):
+            path = tmp_path / f"{batch_count}.csv"
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(
+                    capsys, "mc", "--shots", str(batch_count * shots.BATCH_SIZE), "--per-shot", str(path)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak_bytes(1)  # first-call allocations are not per-shot
+        two, eight = peak_bytes(2), peak_bytes(8)
+        # kept int64 outcomes would add 8 bytes per shot, six batches of them here
+        assert eight - two < 8 * shots.BATCH_SIZE
+
+    def test_unwritable_path_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        drawn = []
+        draw_batch = shots.draw_batch
+        monkeypatch.setattr(
+            shots, "draw_batch", lambda *args: drawn.append(args[1]) or draw_batch(*args)
+        )
+        argv = ["mc", "--shots", str(3 * shots.BATCH_SIZE), "--per-shot"]
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert drawn == []
+        # the counter sees the batches of a writable run
+        assert run_cli(capsys, *argv, str(tmp_path / "x.csv"))[0] == 0
+        assert drawn == [0, 1, 2]
 
 
 class TestThirdIonCommand:

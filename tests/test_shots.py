@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyions import shots
 from hardyions.meter import GaussianPointer
 from hardyions.protocol import RunConfig, closed_form_mean, run_weak_gaussian
 from hardyions.shots import (
@@ -15,6 +16,14 @@ from hardyions.shots import (
     sample_pointer,
     shots_required,
 )
+from hardyions.statecore import GG_INDEX
+
+
+def collect_batches(config):
+    """The ShotResult of a run and the (first_shot, outcomes, samples) of each of its batches."""
+    batches = []
+    result = run_experiment_mc(config, on_batch=lambda *batch: batches.append(batch))
+    return result, batches
 
 
 def ground_pointer(sigma=1.0):
@@ -99,11 +108,18 @@ class TestRunExperiment:
         assert result.std_error is None
         assert not result.std_error_reliable
 
-    def test_keep_samples_aligns_with_result(self):
+    def test_on_batch_aligns_with_result(self, monkeypatch):
+        monkeypatch.setattr(shots, "BATCH_SIZE", 1_234)
         config = RunConfig(a=0.1, shots=5_000, seed=11)
-        result, outcomes, samples = run_experiment_mc(config, keep_samples=True)
-        assert len(outcomes) == config.shots
-        assert len(samples) == result.accepted == int(np.count_nonzero(outcomes == 0))
+        result, batches = collect_batches(config)
+        firsts = [first for first, _, _ in batches]
+        sizes = [len(outcomes) for _, outcomes, _ in batches]
+        assert firsts == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == config.shots
+        assert len(batches) == 5
+        outcomes = np.concatenate([outcomes for _, outcomes, _ in batches])
+        samples = np.concatenate([samples for _, _, samples in batches])
+        assert len(samples) == result.accepted == int(np.count_nonzero(outcomes == GG_INDEX))
         assert result.sample_mean == pytest.approx(samples.mean(), rel=1e-12)
         assert result == run_experiment_mc(config)
 
@@ -126,7 +142,8 @@ class TestBatching:
 
     def test_merged_variance_matches_direct_estimate(self):
         config = RunConfig(a=0.1, shots=50_000, seed=6)
-        result, _, samples = run_experiment_mc(config, keep_samples=True)
+        result, batches = collect_batches(config)
+        samples = np.concatenate([samples for _, _, samples in batches])
         direct = samples.std(ddof=1) / math.sqrt(len(samples))
         assert result.std_error == pytest.approx(direct, rel=1e-12)
 
