@@ -19,7 +19,6 @@ from .meter import (
     gaussian_mean_x,
     gaussian_overlap,
     gaussian_second_moment,
-    gaussian_variance,
     grid_moments,
     to_grid,
 )

@@ -25,7 +25,6 @@ from .protocol import (
     run_weak_gaussian,
 )
 from .shots import run_experiment_mc
-from .statecore import GG_INDEX
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -204,20 +203,20 @@ def _cmd_third_ion(args, opts):
 _REJECTED_ROW = "%d,0,\r\n"
 
 
-def _write_per_shot_batch(write, first_shot, outcomes, samples) -> None:
+def _write_per_shot_batch(write, first_shot, accepted, samples) -> None:
     """Write one batch's per-shot CSV rows, each run of rejected shots in one call.
 
     The bytes are those the csv module writes: rows end in \\r\\n and
     x_sample is the repr of the float, empty on rejected shots.
     """
     shot = first_shot
-    accepted_shots = (np.flatnonzero(outcomes == GG_INDEX) + first_shot).tolist()
-    for accepted, x in zip(accepted_shots, samples.tolist()):
-        if accepted > shot:
-            write(_REJECTED_ROW * (accepted - shot) % tuple(range(shot, accepted)))
-        write(f"{accepted},1,{x!r}\r\n")
-        shot = accepted + 1
-    end = first_shot + len(outcomes)
+    accepted_shots = (np.flatnonzero(accepted) + first_shot).tolist()
+    for hit, x in zip(accepted_shots, samples.tolist()):
+        if hit > shot:
+            write(_REJECTED_ROW * (hit - shot) % tuple(range(shot, hit)))
+        write(f"{hit},1,{x!r}\r\n")
+        shot = hit + 1
+    end = first_shot + len(accepted)
     if end > shot:
         write(_REJECTED_ROW * (end - shot) % tuple(range(shot, end)))
 

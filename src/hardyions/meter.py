@@ -160,11 +160,6 @@ def gaussian_second_moment(p: GaussianPointer) -> float:
     return _moments(p)[1]
 
 
-def gaussian_variance(p: GaussianPointer) -> float:
-    mean, second = _moments(p)
-    return second - mean * mean
-
-
 @dataclass(frozen=True, eq=False)
 class GridPointer:
     """Wavefunction sampled on a uniform grid; the numerical oracle for GaussianPointer."""

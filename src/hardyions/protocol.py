@@ -74,8 +74,8 @@ class RunConfig:
             raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError(f"a must be a non-negative finite length, got {self.a}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be non-negative, got {self.shots}")
+        if self.shots < 1:
+            raise ValueError(f"need at least one shot, got {self.shots}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 

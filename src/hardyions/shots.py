@@ -1,11 +1,11 @@
 """Monte-Carlo simulation of repeated runs of the weak-measurement experiment.
 
-Each shot draws one of the nine internal detection outcomes; shots that
-post-select (|gg>) additionally draw a pointer position from the
-conditional density |phi_c(x)|^2 by inverse-CDF sampling on the grid
-oracle. Randomness comes from numpy's default generator (PCG64), seeded
-per batch from (seed, batch_index), so results are reproducible bit for
-bit and batches may be evaluated independently and merged in index order.
+A shot is accepted (post-selected on |gg>) when its uniform is below P(gg),
+the uniform with which Generator.choice would pick one of the nine outcomes;
+accepted shots draw a pointer position from |phi_c(x)|^2 by inverse-CDF
+sampling on the grid oracle. Randomness comes from numpy's default generator
+(PCG64), seeded per batch from (seed, batch_index), so results are reproducible
+bit for bit and batches may be evaluated independently and merged in index order.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray
     return cdf, xs
 
 
+def _draw_pointer(rng: np.random.Generator, n: int, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """np.interp(rng.random(n), cdf, xs) bit for bit, as each output depends only on its own
+    key; sorted keys hit interp's neighbour guess instead of a mispredicted binary search."""
+    uniforms = rng.random(n)
+    order = np.argsort(uniforms)
+    samples = np.empty_like(uniforms)
+    samples[order] = np.interp(uniforms[order], cdf, xs)
+    return samples
+
+
 def sample_pointer(pointer: GaussianPointer, n: int, seed: int) -> np.ndarray:
     """n independent draws from |phi_c(x)|^2; identical seeds give identical samples."""
     if n < 1:
@@ -62,16 +72,15 @@ def sample_pointer(pointer: GaussianPointer, n: int, seed: int) -> np.ndarray:
     if gaussian_norm_sq(pointer) < 1e-15:
         raise ValueError("cannot sample from a degenerate pointer state")
     cdf, xs = _inverse_cdf_table(pointer)
-    rng = np.random.default_rng(seed)
-    return np.interp(rng.random(n), cdf, xs)
+    return _draw_pointer(np.random.default_rng(seed), n, cdf, xs)
 
 
 @dataclass(frozen=True)
 class PreparedExperiment:
-    """Precomputed outcome table and pointer CDF for one configuration."""
+    """Precomputed acceptance threshold and pointer CDF for one configuration."""
 
     config: RunConfig
-    outcome_probabilities: np.ndarray
+    accept_below: float
     cdf: np.ndarray
     xs: np.ndarray
 
@@ -85,13 +94,15 @@ class BatchTotals:
 
 
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
-    """Evolve the weak experiment once: its outcome table and the conditional pointer's CDF."""
+    """Evolve the weak experiment once for its acceptance threshold and conditional pointer CDF."""
     final, _, pointer = weak_gaussian_experiment(config.a, config.sigma).run()
     table = internal_probabilities(final)
     probabilities = np.array([table[label] for label in BASIS_LABELS])
-    probabilities /= probabilities.sum()
+    # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
+    outcome_cdf = (probabilities / probabilities.sum()).cumsum()
+    outcome_cdf /= outcome_cdf[-1]
     cdf, xs = _inverse_cdf_table(pointer)
-    return PreparedExperiment(config, probabilities, cdf, xs)
+    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), cdf, xs)
 
 
 def batch_plan(shots: int) -> list[int]:
@@ -105,12 +116,10 @@ def batch_plan(shots: int) -> list[int]:
 def draw_batch(
     prepared: PreparedExperiment, batch_index: int, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome indices and pointer samples (one per accepted shot) for one batch."""
+    """Acceptance mask and pointer samples (one per accepted shot) for one batch."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
-    outcomes = rng.choice(len(BASIS_LABELS), size=size, p=prepared.outcome_probabilities)
-    accepted = int(np.count_nonzero(outcomes == GG_INDEX))
-    samples = np.interp(rng.random(accepted), prepared.cdf, prepared.xs)
-    return outcomes, samples
+    accepted = rng.random(size) < prepared.accept_below
+    return accepted, _draw_pointer(rng, int(np.count_nonzero(accepted)), prepared.cdf, prepared.xs)
 
 
 def _batch_totals(samples: np.ndarray, size: int) -> BatchTotals:
@@ -161,21 +170,19 @@ def run_experiment_mc(
 ) -> ShotResult:
     """Run the full Monte-Carlo experiment.
 
-    With on_batch, calls on_batch(first_shot, outcomes, samples) once per
-    batch, in shot order: the index of the batch's first shot, its outcome
-    indices, and its pointer samples, one per accepted shot in order. No
-    batch is kept after its call, so memory does not grow with the shot count.
+    With on_batch, calls on_batch(first_shot, accepted, samples) once per
+    batch, in shot order: the index of the batch's first shot, its acceptance
+    mask, and its pointer samples, one per accepted shot in order. No batch
+    is kept after its call, so memory does not grow with the shot count.
     """
-    if config.shots < 1:
-        raise ValueError(f"need at least one shot, got {config.shots}")
     prepared = prepare_experiment(config)
     totals = []
     first_shot = 0
     for batch_index, size in enumerate(batch_plan(config.shots)):
-        outcomes, samples = draw_batch(prepared, batch_index, size)
+        accepted, samples = draw_batch(prepared, batch_index, size)
         totals.append(_batch_totals(samples, size))
         if on_batch is not None:
-            on_batch(first_shot, outcomes, samples)
+            on_batch(first_shot, accepted, samples)
         first_shot += size
     return merge_shot_totals(totals, config.seed)
 

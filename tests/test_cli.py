@@ -8,7 +8,6 @@ import pytest
 from hardyions import shots
 from hardyions.cli import main
 from hardyions.protocol import RunConfig
-from hardyions.statecore import GG_INDEX
 
 
 def run_cli(capsys, *argv):
@@ -153,10 +152,10 @@ def write_reference_per_shot(path, batches):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shot", "accepted", "x_sample"])
-        for first_shot, outcomes, samples in batches:
+        for first_shot, accepted, samples in batches:
             taken = 0
-            for offset, outcome in enumerate(outcomes):
-                if outcome == GG_INDEX:
+            for offset, hit in enumerate(accepted):
+                if hit:
                     writer.writerow([first_shot + offset, 1, repr(float(samples[taken]))])
                     taken += 1
                 else:
@@ -182,8 +181,8 @@ class TestPerShotWriter:
             assert json.loads(out) == result.to_json_dict()
             write_reference_per_shot(tmp_path / "reference.csv", batches)
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-            for _, outcomes, _ in batches:
-                hits = outcomes == GG_INDEX
+            for _, hits, _ in batches:
+                assert hits.dtype == bool
                 if not hits.any():
                     seen.add("batch without an accepted shot")
                 if hits[0]:
@@ -225,6 +224,14 @@ class TestPerShotWriter:
         two, eight = peak_bytes(2), peak_bytes(8)
         # kept int64 outcomes would add 8 bytes per shot, six batches of them here
         assert eight - two < 8 * shots.BATCH_SIZE
+
+    def test_zero_shots_leave_no_file(self, capsys, tmp_path):
+        path = tmp_path / "z.csv"
+        code, out, err = run_cli(capsys, "mc", "--shots", "0", "--per-shot", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert not path.exists()
 
     def test_unwritable_path_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
         drawn = []

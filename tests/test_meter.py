@@ -12,7 +12,6 @@ from hardyions.meter import (
     gaussian_norm_sq,
     gaussian_overlap,
     gaussian_second_moment,
-    gaussian_variance,
     grid_moments,
     grid_to_csv,
     to_grid,

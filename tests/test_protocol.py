@@ -276,6 +276,7 @@ class TestConfigAndReports:
             {"shots": -5},
             {"sigma": math.inf},
             {"theta": math.inf},
+            {"shots": 0},
         ],
     )
     def test_run_config_validation(self, kwargs):

@@ -5,10 +5,18 @@ import pytest
 
 from hardyions import shots
 from hardyions.meter import GaussianPointer
-from hardyions.protocol import RunConfig, closed_form_mean, run_weak_gaussian
+from hardyions.protocol import (
+    RunConfig,
+    closed_form_mean,
+    run_weak_gaussian,
+    weak_gaussian_experiment,
+)
 from hardyions.shots import (
+    BATCH_SIZE,
+    SAMPLING_GRID_POINTS,
     BatchTotals,
     batch_plan,
+    draw_batch,
     merge_shot_totals,
     prepare_experiment,
     run_experiment_mc,
@@ -16,14 +24,27 @@ from hardyions.shots import (
     sample_pointer,
     shots_required,
 )
-from hardyions.statecore import GG_INDEX
+from hardyions.statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
 
 def collect_batches(config):
-    """The ShotResult of a run and the (first_shot, outcomes, samples) of each of its batches."""
+    """The ShotResult of a run and the (first_shot, accepted, samples) of each of its batches."""
     batches = []
     result = run_experiment_mc(config, on_batch=lambda *batch: batches.append(batch))
     return result, batches
+
+
+def choice_reference_draw(config, batch_index, size):
+    """The reference stream of one batch: each shot's nine-way outcome from Generator.choice,
+    then plain np.interp of one uniform per accepted shot."""
+    table = internal_probabilities(weak_gaussian_experiment(config.a, config.sigma).run()[0])
+    probabilities = np.array([table[label] for label in BASIS_LABELS])
+    probabilities /= probabilities.sum()
+    prepared = prepare_experiment(config)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
+    outcomes = rng.choice(len(BASIS_LABELS), size=size, p=probabilities)
+    accepted = int(np.count_nonzero(outcomes == GG_INDEX))
+    return outcomes, np.interp(rng.random(accepted), prepared.cdf, prepared.xs)
 
 
 def ground_pointer(sigma=1.0):
@@ -113,15 +134,42 @@ class TestRunExperiment:
         config = RunConfig(a=0.1, shots=5_000, seed=11)
         result, batches = collect_batches(config)
         firsts = [first for first, _, _ in batches]
-        sizes = [len(outcomes) for _, outcomes, _ in batches]
+        sizes = [len(accepted) for _, accepted, _ in batches]
         assert firsts == [sum(sizes[:i]) for i in range(len(sizes))]
         assert sum(sizes) == config.shots
         assert len(batches) == 5
-        outcomes = np.concatenate([outcomes for _, outcomes, _ in batches])
+        accepted = np.concatenate([accepted for _, accepted, _ in batches])
         samples = np.concatenate([samples for _, _, samples in batches])
-        assert len(samples) == result.accepted == int(np.count_nonzero(outcomes == GG_INDEX))
+        assert accepted.dtype == bool
+        assert len(samples) == result.accepted == int(np.count_nonzero(accepted))
         assert result.sample_mean == pytest.approx(samples.mean(), rel=1e-12)
         assert result == run_experiment_mc(config)
+
+
+class TestStreamPinning:
+    @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
+    def test_draw_batch_matches_choice_reference(self, a):
+        accepted_counts = []
+        for seed in (0, 1, 7):
+            config = RunConfig(a=a, shots=4 * BATCH_SIZE, seed=seed)
+            prepared = prepare_experiment(config)
+            # full batches, the final partial batch of a run, and a small batch
+            for batch_index, size in [(0, BATCH_SIZE), (2, BATCH_SIZE), (3, 12_345), (5, 2_000)]:
+                accepted, samples = draw_batch(prepared, batch_index, size)
+                outcomes, expected = choice_reference_draw(config, batch_index, size)
+                assert accepted.dtype == bool
+                np.testing.assert_array_equal(accepted, outcomes == GG_INDEX)
+                assert samples.tobytes() == expected.tobytes()
+                accepted_counts.append(len(samples))
+        # np.interp precomputes its slopes only for at least as many keys as grid points
+        assert min(accepted_counts) < SAMPLING_GRID_POINTS <= max(accepted_counts)
+
+    def test_sample_pointer_matches_plain_interp(self):
+        pointer = run_weak_gaussian(0.3).conditional_pointer
+        cdf, xs = shots._inverse_cdf_table(pointer)
+        for n in (1, 100, SAMPLING_GRID_POINTS, 50_000):
+            expected = np.interp(np.random.default_rng(8).random(n), cdf, xs)
+            assert sample_pointer(pointer, n, seed=8).tobytes() == expected.tobytes()
 
 
 class TestBatching:
