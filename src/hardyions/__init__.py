@@ -17,6 +17,7 @@ from .meter import (
     GridPointer,
     QubitPointer,
     gaussian_mean_x,
+    gaussian_moments,
     gaussian_overlap,
     gaussian_second_moment,
     grid_moments,

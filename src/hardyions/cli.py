@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -35,7 +35,9 @@ _DEFAULTS = asdict(RunConfig())
 _CONFIG_TYPES = {"a": float, "sigma": float, "theta": float, "shots": int, "seed": int, "format": str}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="hardyions",
         description="Two-ion interferometer with weakly coupled meters: "

@@ -132,7 +132,8 @@ def gaussian_norm_sq(p: GaussianPointer) -> float:
     return gaussian_overlap(p, p).real
 
 
-def _moments(p: GaussianPointer) -> tuple[float, float]:
+def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
+    """Exact (<x>, <x^2>) of the normalized pointer from one Gram-kernel pass."""
     c = p.coefficients
     d = p.centers
     gram = gram_matrix(p.sigma, d)
@@ -152,12 +153,12 @@ def _moments(p: GaussianPointer) -> tuple[float, float]:
 
 def gaussian_mean_x(p: GaussianPointer) -> float:
     """Exact position mean sum_ij conj(c_i) c_j G_ij (d_i + d_j) / 2, normalized."""
-    return _moments(p)[0]
+    return gaussian_moments(p)[0]
 
 
 def gaussian_second_moment(p: GaussianPointer) -> float:
     """Exact <x^2>: sum_ij conj(c_i) c_j G_ij (sigma^2 + ((d_i + d_j) / 2)^2), normalized."""
-    return _moments(p)[1]
+    return gaussian_moments(p)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,11 +131,6 @@ def _batch_totals(samples: np.ndarray, size: int) -> BatchTotals:
     )
 
 
-def run_shot_batch(prepared: PreparedExperiment, batch_index: int, size: int) -> BatchTotals:
-    _, samples = draw_batch(prepared, batch_index, size)
-    return _batch_totals(samples, size)
-
-
 def merge_shot_totals(totals, seed: int) -> ShotResult:
     """Combine batch totals in the given order into a ShotResult."""
     accepted = 0

@@ -8,13 +8,16 @@ no meter is attached.
 
 Displaced Gaussian meter branches are non-orthogonal, so norms and
 overlaps of gaussian-metered states run through the Gram kernel from the
-meter module rather than a plain Euclidean sum.
+meter module rather than a plain Euclidean sum. Meters and states are
+immutable, so each GaussianMeter builds its Gram kernel once and each state
+computes its norm once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,11 +91,21 @@ class GaussianMeter:
         amps[0] = 1.0
         return amps
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram kernel of the centers, built once per meter (read-only)."""
+        kernel = meter_mod.gram_matrix(self.sigma, self.centers)
+        kernel.flags.writeable = False
+        return kernel
+
     def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "GaussianMeter") -> complex:
         """Gram-kernel inner product; the ket may carry a different center list."""
         if ket_meter.sigma != self.sigma:
             raise ValueError("gaussian meters must share sigma")
-        kernel = meter_mod.cross_gram(self.sigma, self.centers, ket_meter.centers)
+        if ket_meter.centers == self.centers:
+            kernel = self.gram
+        else:
+            kernel = meter_mod.cross_gram(self.sigma, self.centers, ket_meter.centers)
         return complex(np.einsum("im,mn,in->", np.conj(bra), kernel, ket))
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
@@ -180,8 +193,9 @@ class SystemState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
+    @cached_property
     def norm_sq(self) -> float:
+        """Squared norm in the meter's metric, computed once per state."""
         return self.meter.overlap(self.amplitudes, self.amplitudes, self.meter).real
 
     @property

@@ -289,6 +289,19 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(path.read_text())["probabilities"]["gg"] == pytest.approx(0.0625)
 
+    def test_parser_keeps_no_state_between_calls(self, capsys):
+        from hardyions.cli import build_parser
+
+        build_parser.cache_clear()
+        _, alone, _ = run_cli(capsys, "weak")
+        code, first, _ = run_cli(capsys, "weak", "--a", "3", "--format", "json")
+        assert code == 0
+        assert first != alone
+        code, second, _ = run_cli(capsys, "weak")
+        assert code == 0
+        assert second == alone
+        assert build_parser() is build_parser()
+
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# weak run\na = 0.2\nformat = json\n")

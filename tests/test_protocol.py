@@ -95,6 +95,11 @@ class TestWeakValues:
     def test_completeness(self):
         assert sum(weak_values_postselected().values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_each_call_returns_a_copy(self):
+        values = weak_values_postselected()
+        values["gg"] = 7.0
+        assert weak_values_postselected()["gg"] == pytest.approx(-1.0, abs=1e-12)
+
     def test_pointer_shift_linked_to_weak_value(self):
         # pointer mean = -a * Re(weak value of the gg projector) + O((a/sigma)^2)
         wv_gg = weak_values_postselected()["gg"].real
@@ -146,6 +151,27 @@ class TestWeakGaussian:
     def test_negative_displacement_rejected(self):
         with pytest.raises(ValueError):
             run_weak_gaussian(-0.1)
+
+    def test_invariants_computed_once(self, monkeypatch):
+        # one kernel per meter (before and after the coupling) and one for the moments;
+        # one norm-checked pulse per step of the sequence, none for the weak values
+        from hardyions import meter, protocol
+
+        counts = {"kernel": 0, "apply": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(meter, "gram_matrix", counted(meter.gram_matrix, "kernel"))
+        monkeypatch.setattr(meter, "cross_gram", counted(meter.cross_gram, "kernel"))
+        monkeypatch.setattr(protocol, "apply_unitary", counted(protocol.apply_unitary, "apply"))
+        run_weak_gaussian(1.7)
+        assert counts["kernel"] <= 3
+        assert counts["apply"] == len(weak_gaussian_experiment(1.7).sequence) == 6
 
 
 class TestClosedForm:

@@ -20,7 +20,6 @@ from hardyions.shots import (
     merge_shot_totals,
     prepare_experiment,
     run_experiment_mc,
-    run_shot_batch,
     sample_pointer,
     shots_required,
 )
@@ -181,10 +180,12 @@ class TestBatching:
     def test_merged_batches_equal_full_run(self):
         config = RunConfig(a=0.05, shots=300_000, seed=2)
         prepared = prepare_experiment(config)
-        totals = [
-            run_shot_batch(prepared, index, size)
-            for index, size in enumerate(batch_plan(config.shots))
-        ]
+        totals = []
+        for index, size in enumerate(batch_plan(config.shots)):
+            _, samples = draw_batch(prepared, index, size)
+            totals.append(
+                BatchTotals(len(samples), size, float(np.sum(samples)), float(np.sum(samples * samples)))
+            )
         merged = merge_shot_totals(totals, config.seed)
         assert merged == run_experiment_mc(config)
 

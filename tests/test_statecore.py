@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyions.errors import PostSelectionError
+from hardyions.errors import InvariantError, PostSelectionError
 from hardyions.pulses import InternalPulseOp, beamsplitter
 from hardyions.statecore import (
     BASIS_LABELS,
@@ -127,6 +127,20 @@ class TestApplyUnitary:
         rhs = alpha * bs.apply(s1).amplitudes + beta * bs.apply(s2).amplitudes
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_norm_change_detected_with_cached_input_norm(self):
+        class Doubling:
+            label = "doubling"
+
+            def apply(self, state):
+                return SystemState(2.0 * state.amplitudes, state.meter)
+
+        rng = np.random.default_rng(6)
+        for meter in (NoMeter(), GaussianMeter(0.9, (0.0, -0.3)), QubitMeter()):
+            state = random_state(rng, meter)
+            assert state.norm == pytest.approx(1.0, abs=1e-12)  # the input's norm is now cached
+            with pytest.raises(InvariantError, match="changed the norm"):
+                apply_unitary(state, Doubling())
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SystemState(np.zeros((N_INTERNAL, 2)), NoMeter())
@@ -172,6 +186,24 @@ class TestNormAndProjection:
         s2 = init_ground(b)
         expected = math.exp(-0.36 / 8.0)
         assert state_overlap(s1, s2).real == pytest.approx(expected, rel=1e-14)
+
+    def test_gram_kernel_built_once_per_meter(self, monkeypatch):
+        from hardyions import meter as meter_mod
+
+        builds = []
+        gram_matrix = meter_mod.gram_matrix
+        monkeypatch.setattr(
+            meter_mod, "gram_matrix", lambda *args: builds.append(args) or gram_matrix(*args)
+        )
+        meter = GaussianMeter(1.0, (0.0, -0.5))
+        rng = np.random.default_rng(7)
+        states = [random_state(rng, meter) for _ in range(3)]
+        for bra in states:
+            for ket in states:
+                state_overlap(bra, ket)
+        assert builds == [(1.0, (0.0, -0.5))]
+        np.testing.assert_array_equal(meter.gram, gram_matrix(1.0, (0.0, -0.5)))
+        assert not meter.gram.flags.writeable
 
     def test_overlap_kind_mismatch_rejected(self):
         with pytest.raises(ValueError, match="kind"):
