@@ -18,7 +18,6 @@ from .meter import (
     QubitPointer,
     gaussian_mean_x,
     gaussian_moments,
-    gaussian_overlap,
     gaussian_second_moment,
     grid_moments,
     to_grid,
@@ -58,7 +57,6 @@ from .statecore import (
     internal_probabilities,
     pointer_component,
     project_internal,
-    state_overlap,
     state_to_json_dict,
 )
 

@@ -83,29 +83,18 @@ class GaussianPointer:
     def centers(self) -> np.ndarray:
         return np.array([d for _, d in self.branches], dtype=float)
 
-    def displaced(self, shift: float) -> "GaussianPointer":
-        """Same superposition with every center translated by shift."""
-        return GaussianPointer(self.sigma, tuple((c, d + shift) for c, d in self.branches))
-
-    def scaled(self, factor: complex) -> "GaussianPointer":
-        return GaussianPointer(self.sigma, tuple((c * factor, d) for c, d in self.branches))
-
     def normalized(self) -> "GaussianPointer":
         norm_sq = gaussian_norm_sq(self)
         if norm_sq < NORM_FLOOR:
             raise ValueError("cannot normalize a degenerate pointer state")
-        return self.scaled(1.0 / math.sqrt(norm_sq))
+        factor = 1.0 / math.sqrt(norm_sq)
+        return GaussianPointer(self.sigma, tuple((c * factor, d) for c, d in self.branches))
 
     def to_json_dict(self) -> dict:
         return {
             "sigma": self.sigma,
             "branches": [[c.real, c.imag, d] for c, d in self.branches],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GaussianPointer":
-        branches = tuple((complex(re, im), d) for re, im, d in data["branches"])
-        return cls(float(data["sigma"]), branches)
 
 
 def _quad_form(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> complex:
@@ -242,13 +231,6 @@ def grid_moments(p: GridPointer) -> tuple[float, float]:
     mean = float(np.trapezoid(xs * density, xs) / norm)
     second = float(np.trapezoid(xs * xs * density, xs) / norm)
     return mean, second - mean * mean
-
-
-def grid_to_csv(p: GridPointer, fh) -> None:
-    """Dump a grid state as CSV with columns x, re, im, abs2."""
-    fh.write("x,re,im,abs2\n")
-    for x, v in zip(p.xs, p.values):
-        fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v) ** 2)!r}\n")
 
 
 @dataclass(frozen=True)

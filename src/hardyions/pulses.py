@@ -204,9 +204,12 @@ class MeasurementInstrument:
         outcomes = []
         for label, matrix in self.projectors:
             amps = matrix @ state.amplitudes
-            branch = SystemState(amps, state.meter)
-            probability = max(branch.norm_sq, 0.0)
-            collapsed = branch.normalized() if probability > 1e-15 else None
+            probability = max(state.meter.norm_sq(amps), 0.0)
+            collapsed = (
+                SystemState(amps / math.sqrt(probability), state.meter)
+                if probability > 1e-15
+                else None
+            )
             outcomes.append(MeasurementOutcome(label, probability, collapsed))
         return outcomes
 

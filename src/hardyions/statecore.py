@@ -6,11 +6,13 @@ labels run gg, ge, gf, eg, ee, ef, fg, fe, ff. Amplitudes are stored as a
 (9, M) complex array with the meter branch as the minor axis; M = 1 when
 no meter is attached.
 
-Displaced Gaussian meter branches are non-orthogonal, so norms and
-overlaps of gaussian-metered states run through the Gram kernel from the
-meter module rather than a plain Euclidean sum. Meters and states are
-immutable, so each GaussianMeter builds its Gram kernel once and each state
-computes its norm once.
+Displaced Gaussian meter branches are non-orthogonal, so norms of
+gaussian-metered states run through the Gram kernel from the meter module
+rather than a plain Euclidean sum. Each meter computes both the norm of a
+whole state and the nine per-outcome norms of its rows, so outcome
+probabilities are read off without building a projected state. Meters and
+states are immutable, so each GaussianMeter builds its Gram kernel once and
+each state computes its norm once.
 """
 
 from __future__ import annotations
@@ -43,12 +45,23 @@ POSTSELECTION_FLOOR = 1e-15
 
 # --- meter spaces -----------------------------------------------------------
 #
-# Each meter class owns its basis (dim, fiducial), its metric (overlap), its
-# readout (pointer) and, for the meters a pulse couples to, that coupling.
+# Each meter class owns its basis (dim, fiducial), its metric (norm_sq of a
+# whole state, row_norms_sq of the nine internal outcomes), its readout
+# (pointer) and, for the meters a pulse couples to, that coupling.
+
+
+class _EuclideanMetric:
+    """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
+
+    def norm_sq(self, amplitudes: np.ndarray) -> float:
+        return float(np.vdot(amplitudes, amplitudes).real)
+
+    def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
+        return np.einsum("im,im->i", np.conj(amplitudes), amplitudes).real
 
 
 @dataclass(frozen=True)
-class NoMeter:
+class NoMeter(_EuclideanMetric):
     """Placeholder meter for purely internal dynamics (M = 1)."""
 
     @property
@@ -57,9 +70,6 @@ class NoMeter:
 
     def fiducial(self) -> np.ndarray:
         return np.ones(1, dtype=complex)
-
-    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "NoMeter") -> complex:
-        return complex(np.vdot(bra, ket))
 
     def pointer(self, row: np.ndarray, label: str):
         raise ValueError("state has no meter attached")
@@ -98,15 +108,14 @@ class GaussianMeter:
         kernel.flags.writeable = False
         return kernel
 
-    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "GaussianMeter") -> complex:
-        """Gram-kernel inner product; the ket may carry a different center list."""
-        if ket_meter.sigma != self.sigma:
-            raise ValueError("gaussian meters must share sigma")
-        if ket_meter.centers == self.centers:
-            kernel = self.gram
-        else:
-            kernel = meter_mod.cross_gram(self.sigma, self.centers, ket_meter.centers)
-        return complex(np.einsum("im,mn,in->", np.conj(bra), kernel, ket))
+    def norm_sq(self, amplitudes: np.ndarray) -> float:
+        """Gram-kernel quadratic form of the whole state."""
+        return float(np.einsum("im,mn,in->", np.conj(amplitudes), self.gram, amplitudes).real)
+
+    def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Gram-kernel quadratic form of each internal row."""
+        forms = np.einsum("im,mn,in->i", np.conj(amplitudes), self.gram, amplitudes)
+        return forms.real.astype(float)
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
         """The branches of one component as a GaussianPointer; exact-zero branches are dropped."""
@@ -145,7 +154,7 @@ class GaussianMeter:
 
 
 @dataclass(frozen=True)
-class QubitMeter:
+class QubitMeter(_EuclideanMetric):
     """Third-ion meter with internal states (g, e); fiducial (|g> + |e>) / sqrt(2)."""
 
     @property
@@ -155,9 +164,6 @@ class QubitMeter:
     def fiducial(self) -> np.ndarray:
         r = 1.0 / math.sqrt(2.0)
         return np.array([r, r], dtype=complex)
-
-    def overlap(self, bra: np.ndarray, ket: np.ndarray, ket_meter: "QubitMeter") -> complex:
-        return complex(np.vdot(bra, ket))
 
     def pointer(self, row: np.ndarray, label: str) -> QubitPointer:
         return QubitPointer(row[0], row[1])
@@ -196,7 +202,7 @@ class SystemState:
     @cached_property
     def norm_sq(self) -> float:
         """Squared norm in the meter's metric, computed once per state."""
-        return self.meter.overlap(self.amplitudes, self.amplitudes, self.meter).real
+        return self.meter.norm_sq(self.amplitudes)
 
     @property
     def norm(self) -> float:
@@ -221,8 +227,6 @@ def init_ground(meter: MeterSpace | None = None) -> SystemState:
 def apply_unitary(state: SystemState, op: "PulseOp") -> SystemState:
     """Apply a pulse, checking that the norm is preserved to 1e-12."""
     out = op.apply(state)
-    if not np.all(np.isfinite(out.amplitudes)):
-        raise InvariantError(f"{op.label} produced non-finite amplitudes")
     drift = abs(out.norm - state.norm)
     if drift > NORM_TOL * max(1.0, state.norm):
         raise InvariantError(f"{op.label} changed the norm by {drift:.3e}")
@@ -237,34 +241,18 @@ def project_internal(state: SystemState, target: str) -> tuple[float, SystemStat
     probability is below 1e-15.
     """
     idx = BASIS_LABELS.index(target)
-    amps = np.zeros_like(state.amplitudes)
-    amps[idx] = state.amplitudes[idx]
-    projected = SystemState(amps, state.meter)
-    probability = max(projected.norm_sq, 0.0)
+    probability = internal_probabilities(state)[target]
     if probability < POSTSELECTION_FLOOR:
-        raise PostSelectionError(
-            f"post-selection impossible: P({BASIS_LABELS[idx]}) = {probability:.3e}"
-        )
-    return probability, projected.normalized()
+        raise PostSelectionError(f"post-selection impossible: P({target}) = {probability:.3e}")
+    amps = np.zeros_like(state.amplitudes)
+    amps[idx] = state.amplitudes[idx] / math.sqrt(probability)
+    return probability, SystemState(amps, state.meter)
 
 
 def internal_probabilities(state: SystemState) -> dict[str, float]:
     """Probability of each of the nine internal detection outcomes."""
-    table = {}
-    for idx, label in enumerate(BASIS_LABELS):
-        amps = np.zeros_like(state.amplitudes)
-        amps[idx] = state.amplitudes[idx]
-        table[label] = max(SystemState(amps, state.meter).norm_sq, 0.0)
-    return table
-
-
-def state_overlap(bra: SystemState, ket: SystemState) -> complex:
-    """Inner product <bra|ket>; gaussian meters may differ in their center lists."""
-    if type(bra.meter) is not type(ket.meter):
-        raise ValueError(
-            f"meter kinds differ: {type(bra.meter).__name__} vs {type(ket.meter).__name__}"
-        )
-    return bra.meter.overlap(bra.amplitudes, ket.amplitudes, ket.meter)
+    rows = state.meter.row_norms_sq(state.amplitudes).tolist()
+    return {label: max(p, 0.0) for label, p in zip(BASIS_LABELS, rows)}
 
 
 def pointer_component(state: SystemState, target: str):

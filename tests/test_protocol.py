@@ -29,6 +29,7 @@ from hardyions.protocol import (
     weak_values_postselected,
 )
 from hardyions.pulses import beamsplitter, projector_onto, strong_measurement
+from hardyions.shots import prepare_experiment
 from hardyions.statecore import (
     BASIS_LABELS,
     SystemState,
@@ -60,6 +61,25 @@ class TestEngine:
             "beamsplitter(ion=1)",
             "beamsplitter(ion=2)",
         ]
+
+    @pytest.mark.parametrize(
+        "run, most",
+        [
+            (run_ideal, 6),
+            (run_strong_comparison, 16),
+            (lambda: prepare_experiment(RunConfig(a=1.7)), 8),
+        ],
+        ids=["run_ideal", "run_strong_comparison", "prepare_experiment"],
+    )
+    def test_no_state_built_only_for_its_norm(self, monkeypatch, run, most):
+        # one state per pulse, per conditional state and per collapsed branch
+        built = []
+        post_init = SystemState.__post_init__
+        monkeypatch.setattr(
+            SystemState, "__post_init__", lambda state: built.append(1) or post_init(state)
+        )
+        run()
+        assert len(built) <= most
 
     def test_run_postselects_gg(self):
         final, probability, pointer = weak_gaussian_experiment(0.3).run()

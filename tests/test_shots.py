@@ -163,6 +163,25 @@ class TestStreamPinning:
         # np.interp precomputes its slopes only for at least as many keys as grid points
         assert min(accepted_counts) < SAMPLING_GRID_POINTS <= max(accepted_counts)
 
+    @pytest.mark.parametrize(
+        "a, sigma, threshold",
+        [
+            (0.0005, 0.5, "0x1.000008637bc79p-4"),
+            (0.05, 1.0, "0x1.0051e83e58b92p-4"),
+            (0.52, 1.3, "0x1.1446cc8a42749p-4"),
+            (1.0, 1.0, "0x1.7852bb624fbbdp-4"),
+            (2.6, 1.3, "0x1.4974d039069f6p-3"),
+            (2.35482, 1.0, "0x1.7fffff8e2401ap-3"),
+            (2.3548200450309493, 1.0, "0x1.7ffffffffffffp-3"),
+            (4.70964, 2.0, "0x1.7fffff8e2401ap-3"),
+            (6.0, 2.0, "0x1.d9c726dc42a70p-3"),
+            (5.0, 1.0, "0x1.34c08c93003dcp-2"),
+        ],
+    )
+    def test_accept_below_pinned(self, a, sigma, threshold):
+        # bit for bit: the golden per-shot CSV is too short to see a one-ulp change here
+        assert prepare_experiment(RunConfig(a, sigma)).accept_below.hex() == threshold
+
     def test_sample_pointer_matches_plain_interp(self):
         pointer = run_weak_gaussian(0.3).conditional_pointer
         cdf, xs = shots._inverse_cdf_table(pointer)

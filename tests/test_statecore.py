@@ -18,7 +18,6 @@ from hardyions.statecore import (
     internal_probabilities,
     pointer_component,
     project_internal,
-    state_overlap,
     state_to_json_dict,
 )
 
@@ -127,6 +126,16 @@ class TestApplyUnitary:
         rhs = alpha * bs.apply(s1).amplitudes + beta * bs.apply(s2).amplitudes
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_non_finite_pulse_output_rejected(self):
+        class Poisoning:
+            label = "poisoning"
+
+            def apply(self, state):
+                return SystemState(math.nan * state.amplitudes, state.meter)
+
+        with pytest.raises(ValueError, match="non-finite amplitudes"):
+            apply_unitary(init_ground(), Poisoning())
+
     def test_norm_change_detected_with_cached_input_norm(self):
         class Doubling:
             label = "doubling"
@@ -171,21 +180,36 @@ class TestNormAndProjection:
             assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
             assert all(0.0 <= p <= 1.0 + 1e-12 for p in table.values())
 
+    def test_row_norms_match_projected_states(self):
+        # each row norm is the norm of the state projected onto that outcome
+        rng = np.random.default_rng(8)
+        for meter in (NoMeter(), GaussianMeter(0.8, (0.0, -0.5, 0.7, 1.9)), QubitMeter()):
+            for _ in range(10):
+                state = random_state(rng, meter)
+                rows = meter.row_norms_sq(state.amplitudes)
+                assert rows.shape == (N_INTERNAL,)
+                for idx in range(N_INTERNAL):
+                    projected = np.zeros_like(state.amplitudes)
+                    projected[idx] = state.amplitudes[idx]
+                    reference = SystemState(projected, meter).norm_sq
+                    assert rows[idx] == pytest.approx(reference, rel=1e-14)
+                assert rows.sum() == pytest.approx(state.norm_sq, rel=1e-13)
+
     def test_conditional_state_is_normalized(self):
         rng = np.random.default_rng(5)
-        state = random_state(rng, GaussianMeter(1.0, (0.0, -0.5)))
-        probability, conditional = project_internal(state, "ee")
-        assert 0.0 < probability < 1.0
-        assert conditional.norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_overlap_between_different_center_lists(self):
-        sigma = 1.0
-        a = GaussianMeter(sigma, (0.0,))
-        b = GaussianMeter(sigma, (-0.6,))
-        s1 = init_ground(a)
-        s2 = init_ground(b)
-        expected = math.exp(-0.36 / 8.0)
-        assert state_overlap(s1, s2).real == pytest.approx(expected, rel=1e-14)
+        for meter in (NoMeter(), GaussianMeter(1.0, (0.0, -0.5)), QubitMeter()):
+            state = random_state(rng, meter)
+            probability, conditional = project_internal(state, "ee")
+            assert 0.0 < probability < 1.0
+            assert probability == internal_probabilities(state)["ee"]
+            assert conditional.norm == pytest.approx(1.0, abs=1e-12)
+            ee = BASIS_LABELS.index("ee")
+            np.testing.assert_allclose(
+                conditional.amplitudes[ee] * math.sqrt(probability),
+                state.amplitudes[ee],
+                rtol=1e-14,
+            )
+            assert np.count_nonzero(np.delete(conditional.amplitudes, ee, axis=0)) == 0
 
     def test_gram_kernel_built_once_per_meter(self, monkeypatch):
         from hardyions import meter as meter_mod
@@ -197,17 +221,12 @@ class TestNormAndProjection:
         )
         meter = GaussianMeter(1.0, (0.0, -0.5))
         rng = np.random.default_rng(7)
-        states = [random_state(rng, meter) for _ in range(3)]
-        for bra in states:
-            for ket in states:
-                state_overlap(bra, ket)
+        for state in [random_state(rng, meter) for _ in range(3)]:
+            meter.norm_sq(state.amplitudes)
+            meter.row_norms_sq(state.amplitudes)
         assert builds == [(1.0, (0.0, -0.5))]
         np.testing.assert_array_equal(meter.gram, gram_matrix(1.0, (0.0, -0.5)))
         assert not meter.gram.flags.writeable
-
-    def test_overlap_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            state_overlap(init_ground(), init_ground(QubitMeter()))
 
 
 class TestPointerComponent:
