@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 4
 
-_DEFAULTS = asdict(RunConfig())
+_DEFAULTS = {**asdict(RunConfig()), "theta": 0.1}
 _CONFIG_TYPES = {"a": float, "sigma": float, "theta": float, "shots": int, "seed": int, "format": str}
 
 

@@ -121,11 +121,14 @@ def gaussian_norm_sq(p: GaussianPointer) -> float:
     return gaussian_overlap(p, p).real
 
 
-def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
-    """Exact (<x>, <x^2>) of the normalized pointer from one Gram-kernel pass."""
+def gaussian_moments(p: GaussianPointer, gram: np.ndarray | None = None) -> tuple[float, float]:
+    """Exact (<x>, <x^2>) of the normalized pointer from one pass over gram, its Gram kernel.
+
+    The kernel is built here unless the caller holds it already (a meter's cached gram).
+    """
     c = p.coefficients
     d = p.centers
-    gram = gram_matrix(p.sigma, d)
+    gram = gram_matrix(p.sigma, d) if gram is None else gram
     den = _quad_form(c, gram, c)
     if den.real < NORM_FLOOR:
         raise ValueError("degenerate pointer state (vanishing norm)")

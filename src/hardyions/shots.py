@@ -11,7 +11,7 @@ bit for bit and batches may be evaluated independently and merged in index order
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,12 +105,17 @@ def prepare_experiment(config: RunConfig) -> PreparedExperiment:
     return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), cdf, xs)
 
 
-def batch_plan(shots: int) -> list[int]:
-    """Deterministic split of a shot count into batch sizes."""
-    sizes = [BATCH_SIZE] * (shots // BATCH_SIZE)
-    if shots % BATCH_SIZE:
-        sizes.append(shots % BATCH_SIZE)
-    return sizes
+class batch_plan(Sequence):
+    """Deterministic split of a shot count into batch sizes: a lazy sequence, like range."""
+
+    def __init__(self, shots: int) -> None:
+        self.starts = range(0, shots, BATCH_SIZE)  # the index of each batch's first shot
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index: int) -> int:
+        return min(self.starts.step, self.starts.stop - self.starts[index])
 
 
 def draw_batch(
@@ -120,15 +125,6 @@ def draw_batch(
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
     accepted = rng.random(size) < prepared.accept_below
     return accepted, _draw_pointer(rng, int(np.count_nonzero(accepted)), prepared.cdf, prepared.xs)
-
-
-def _batch_totals(samples: np.ndarray, size: int) -> BatchTotals:
-    return BatchTotals(
-        accepted=len(samples),
-        total=size,
-        sum_x=float(np.sum(samples)),
-        sum_x_sq=float(np.sum(samples * samples)),
-    )
 
 
 def merge_shot_totals(totals, seed: int) -> ShotResult:
@@ -167,19 +163,20 @@ def run_experiment_mc(
 
     With on_batch, calls on_batch(first_shot, accepted, samples) once per
     batch, in shot order: the index of the batch's first shot, its acceptance
-    mask, and its pointer samples, one per accepted shot in order. No batch
-    is kept after its call, so memory does not grow with the shot count.
+    mask, and its pointer samples, one per accepted shot in order. Batches are
+    merged as drawn and none is kept, so memory does not grow with the shot count.
     """
     prepared = prepare_experiment(config)
-    totals = []
-    first_shot = 0
-    for batch_index, size in enumerate(batch_plan(config.shots)):
-        accepted, samples = draw_batch(prepared, batch_index, size)
-        totals.append(_batch_totals(samples, size))
-        if on_batch is not None:
-            on_batch(first_shot, accepted, samples)
-        first_shot += size
-    return merge_shot_totals(totals, config.seed)
+    plan = batch_plan(config.shots)
+
+    def totals():
+        for batch_index, size in enumerate(plan):
+            accepted, samples = draw_batch(prepared, batch_index, size)
+            if on_batch is not None:
+                on_batch(plan.starts[batch_index], accepted, samples)
+            yield BatchTotals(len(samples), size, float(np.sum(samples)), float(np.sum(samples * samples)))
+
+    return merge_shot_totals(totals(), config.seed)
 
 
 def shots_required(a: float, sigma: float = 1.0, k_sigma: float = 3.0) -> int:

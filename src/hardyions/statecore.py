@@ -11,8 +11,9 @@ gaussian-metered states run through the Gram kernel from the meter module
 rather than a plain Euclidean sum. Each meter computes both the norm of a
 whole state and the nine per-outcome norms of its rows, so outcome
 probabilities are read off without building a projected state. Meters and
-states are immutable, so each GaussianMeter builds its Gram kernel once and
-each state computes its norm once.
+states are immutable, so each GaussianMeter builds its Gram kernel once (the
+pointer moments reuse it), each state computes its norm once, and protocol
+evolves the parameter-free opening pulses once per meter.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class GaussianMeter:
             raise ValueError("need at least one branch center")
         if not all(math.isfinite(d) for d in centers):
             raise ValueError("non-finite branch center")
+        object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "centers", centers)
 
     @property
@@ -189,20 +191,21 @@ class SystemState:
     meter: MeterSpace = field(default_factory=NoMeter)
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")  # always a private copy
         expected = (N_INTERNAL, self.meter.dim)
         if amps.shape != expected:
             raise ValueError(f"expected amplitudes of shape {expected}, got {amps.shape}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitudes")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @cached_property
+    @property
     def norm_sq(self) -> float:
-        """Squared norm in the meter's metric, computed once per state."""
-        return self.meter.norm_sq(self.amplitudes)
+        """Squared norm in the meter's metric, computed on first use and kept with the state."""
+        if "_norm_sq" not in self.__dict__:
+            self.__dict__["_norm_sq"] = self.meter.norm_sq(self.amplitudes)
+        return self.__dict__["_norm_sq"]
 
     @property
     def norm(self) -> float:

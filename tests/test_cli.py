@@ -262,6 +262,15 @@ class TestThirdIonCommand:
         code, _, _ = run_cli(capsys, "third-ion", "--theta", "3.2")
         assert code == 2
 
+    def test_theta_from_config_file_and_default(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("theta = 0.3\nformat = json\n")
+        code, out, _ = run_cli(capsys, "third-ion", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["theta"] == 0.3
+        _, out, _ = run_cli(capsys, "third-ion", "--format", "json")
+        assert json.loads(out)["theta"] == 0.1
+
 
 class TestStrongCommand:
     def test_tables(self, capsys):

@@ -13,6 +13,7 @@ from hardyions.meter import (
 )
 from hardyions.protocol import (
     IDEAL,
+    PREPARE,
     RunConfig,
     WeakValueReport,
     closed_form_mean,
@@ -32,6 +33,9 @@ from hardyions.pulses import beamsplitter, projector_onto, strong_measurement
 from hardyions.shots import prepare_experiment
 from hardyions.statecore import (
     BASIS_LABELS,
+    GaussianMeter,
+    NoMeter,
+    QubitMeter,
     SystemState,
     apply_unitary,
     init_ground,
@@ -80,6 +84,44 @@ class TestEngine:
         )
         run()
         assert len(built) <= most
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            IDEAL,
+            weak_gaussian_experiment(0.7, 1.0),
+            weak_gaussian_experiment(0.7, 1.3),
+            weak_gaussian_experiment(0.7, 2.0),
+            third_ion_experiment(0.4),
+        ],
+        ids=["NoMeter", "Gaussian1", "Gaussian1.3", "Gaussian2", "QubitMeter"],
+    )
+    def test_memoized_prefix_is_a_fresh_evolve(self, experiment):
+        intermediate_state.cache_clear()
+        meter = experiment.meter
+        fresh = evolve(init_ground(meter), PREPARE)
+        memo = intermediate_state(meter)
+        assert memo is intermediate_state(meter)
+        assert memo.meter == fresh.meter == meter
+        assert memo.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert not memo.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            memo.amplitudes[0, 0] = 1.0
+        # a run resumes from the memo and ends bit for bit where the whole sequence does
+        final = experiment.final_state()
+        whole = evolve(init_ground(meter), experiment.sequence)
+        assert final.meter == whole.meter
+        assert final.amplitudes.tobytes() == whole.amplitudes.tobytes()
+
+    def test_memo_keeps_one_entry_per_meter(self):
+        intermediate_state.cache_clear()
+        states = [intermediate_state(GaussianMeter(sigma)) for sigma in (1.0, 1.3, 2.0)]
+        assert [state.meter.sigma for state in states] == [1.0, 1.3, 2.0]
+        assert len({id(state) for state in states}) == 3
+        assert intermediate_state(NoMeter()) is not intermediate_state(QubitMeter())
+        # equal meters share an entry: an integer width is the same length as its float
+        assert intermediate_state(GaussianMeter(2)) is states[2]
+        assert type(states[2].meter.sigma) is float
 
     def test_run_postselects_gg(self):
         final, probability, pointer = weak_gaussian_experiment(0.3).run()
@@ -173,8 +215,10 @@ class TestWeakGaussian:
             run_weak_gaussian(-0.1)
 
     def test_invariants_computed_once(self, monkeypatch):
-        # one kernel per meter (before and after the coupling) and one for the moments;
-        # one norm-checked pulse per step of the sequence, none for the weak values
+        # cold: every pulse of the sequence is norm-checked, the prefix's one-center meter builds
+        # its kernel and the coupled meter builds its own; warm, for any a at the same sigma: only
+        # the pulses after the prefix run, and the coupled meter's kernel serves the norms, the
+        # outcome table and the moments; the weak values cost nothing
         from hardyions import meter, protocol
 
         counts = {"kernel": 0, "apply": 0}
@@ -189,9 +233,13 @@ class TestWeakGaussian:
         monkeypatch.setattr(meter, "gram_matrix", counted(meter.gram_matrix, "kernel"))
         monkeypatch.setattr(meter, "cross_gram", counted(meter.cross_gram, "kernel"))
         monkeypatch.setattr(protocol, "apply_unitary", counted(protocol.apply_unitary, "apply"))
+        assert len(weak_gaussian_experiment(1.7).sequence) == 6
+        intermediate_state.cache_clear()
         run_weak_gaussian(1.7)
-        assert counts["kernel"] <= 3
-        assert counts["apply"] == len(weak_gaussian_experiment(1.7).sequence) == 6
+        assert counts == {"kernel": 2, "apply": 6}
+        counts.update(kernel=0, apply=0)
+        run_weak_gaussian(0.9)
+        assert counts == {"kernel": 1, "apply": 3}
 
 
 class TestClosedForm:
@@ -263,6 +311,11 @@ class TestThirdIon:
         with pytest.raises(ValueError):
             run_third_ion(math.pi)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError):
+            run_third_ion(theta)
+
 
 class TestStrongComparison:
     def test_undisturbed_matches_ideal(self):
@@ -321,7 +374,7 @@ class TestConfigAndReports:
             {"a": -0.1},
             {"shots": -5},
             {"sigma": math.inf},
-            {"theta": math.inf},
+            {"a": math.inf},
             {"shots": 0},
         ],
     )

@@ -192,9 +192,19 @@ class TestStreamPinning:
 
 class TestBatching:
     def test_batch_plan_covers_shots(self):
-        assert batch_plan(5) == [5]
+        assert list(batch_plan(5)) == [5]
         assert sum(batch_plan(1_000_000)) == 1_000_000
-        assert batch_plan(1 << 17) == [1 << 17]
+        assert list(batch_plan(1 << 17)) == [1 << 17]
+        assert list(batch_plan(2 * BATCH_SIZE + 3)) == [BATCH_SIZE, BATCH_SIZE, 3]
+
+    def test_batch_plan_is_lazy(self):
+        # a list of the sizes would take about 61 TB here
+        plan = batch_plan(10**18)
+        assert next(iter(plan)) == BATCH_SIZE
+        assert len(plan) == 10**18 // BATCH_SIZE
+        assert plan[-1] == BATCH_SIZE
+        odd = batch_plan(10**18 + 7)
+        assert (len(odd), odd[-2], odd[-1]) == (10**18 // BATCH_SIZE + 1, BATCH_SIZE, 7)
 
     def test_merged_batches_equal_full_run(self):
         config = RunConfig(a=0.05, shots=300_000, seed=2)
@@ -208,6 +218,21 @@ class TestBatching:
         merged = merge_shot_totals(totals, config.seed)
         assert merged == run_experiment_mc(config)
 
+    def test_totals_are_merged_as_drawn(self, monkeypatch):
+        # no list of batch totals: each total reaches the merge before the next batch is drawn
+        monkeypatch.setattr(shots, "BATCH_SIZE", 1_000)
+        drawn, seen = [], []
+        draw, merge = shots.draw_batch, shots.merge_shot_totals
+        monkeypatch.setattr(shots, "draw_batch", lambda *args: drawn.append(args[1]) or draw(*args))
+
+        def merging(totals, seed):
+            return merge((seen.append(len(drawn)) or t for t in totals), seed)
+
+        monkeypatch.setattr(shots, "merge_shot_totals", merging)
+        run_experiment_mc(RunConfig(a=0.1, shots=4_500, seed=3))
+        assert drawn == [0, 1, 2, 3, 4]
+        assert seen == [1, 2, 3, 4, 5]
+
     def test_merged_variance_matches_direct_estimate(self):
         config = RunConfig(a=0.1, shots=50_000, seed=6)
         result, batches = collect_batches(config)
@@ -216,6 +241,7 @@ class TestBatching:
         assert result.std_error == pytest.approx(direct, rel=1e-12)
 
     def test_prepare_evolves_the_experiment_once(self, monkeypatch):
+        # cold, the whole sequence runs once; warm, only the pulses after the memoized prefix
         from hardyions import protocol
 
         calls = []
@@ -223,8 +249,13 @@ class TestBatching:
         monkeypatch.setattr(
             protocol, "apply_unitary", lambda state, op: calls.append(op.label) or apply(state, op)
         )
+        labels = [op.label for op in protocol.weak_gaussian_experiment(0.05).sequence]
+        protocol.intermediate_state.cache_clear()
         prepare_experiment(RunConfig(a=0.05))
-        assert calls == [op.label for op in protocol.weak_gaussian_experiment(0.05).sequence]
+        assert calls == labels and len(labels) == 6
+        calls.clear()
+        prepare_experiment(RunConfig(a=0.05))
+        assert calls == labels[3:]
 
     def test_merge_empty_batch(self):
         merged = merge_shot_totals([BatchTotals(0, 50, 0.0, 0.0)], seed=0)
