@@ -1,9 +1,16 @@
-"""Pointer states for the meter degree of freedom.
+"""Meters of the interferometer and the pointers they read out.
 
-Three representations: exact algebra over superpositions of displaced
-equal-width Gaussians (the primary path), a sampled position grid used as
-an independent numerical oracle, and a two-level pointer for the
-third-ion scheme.
+Each meter class owns its basis (dim, fiducial), its metric (norm_sq of a
+whole state, row_norms_sq of the nine internal outcomes), its readout
+(pointer) and, for the meters a pulse couples to, that coupling (couple
+returns the new amplitudes and meter). This module alone knows the Gaussian
+branch representation: the Gram kernel, its two contractions (the meters'
+einsum for state norms and outcome tables, the extended-precision quadratic
+forms for pointer norms and moments), the light-shift displacement and the
+readout. A GaussianPointer is a view on a GaussianMeter and one coefficient
+per center, so a pointer read out of a state shares that state's meter and
+its cached kernel. A sampled position grid serves as an independent
+numerical oracle, and a two-level pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,43 +60,200 @@ def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
     return gauss_kernel(db[:, None] - dk[None, :], sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianPointer:
-    """Superposition sum_i c_i phi_{d_i}(x) of displaced ground-state Gaussians.
+# --- meter spaces -----------------------------------------------------------
 
-    branches is a sequence of (coefficient, center) pairs; all branches
-    share the width sigma. The representation is exact: no truncation is
-    involved anywhere in the algebra below.
-    """
+
+class _EuclideanMetric:
+    """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
+
+    def norm_sq(self, amplitudes: np.ndarray) -> float:
+        return float(np.vdot(amplitudes, amplitudes).real)
+
+    def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
+        return np.einsum("im,im->i", np.conj(amplitudes), amplitudes).real
+
+
+@dataclass(frozen=True)
+class NoMeter(_EuclideanMetric):
+    """Placeholder meter for purely internal dynamics (M = 1)."""
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    def fiducial(self) -> np.ndarray:
+        return np.ones(1, dtype=complex)
+
+    def pointer(self, row: np.ndarray, label: str):
+        raise ValueError("state has no meter attached")
+
+
+@dataclass(frozen=True)
+class GaussianMeter:
+    """Meter space spanned by width-sigma Gaussians at the listed centers."""
 
     sigma: float
-    branches: tuple[tuple[complex, float], ...]
+    centers: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
-        branches = tuple((complex(c), float(d)) for c, d in self.branches)
+        centers = tuple(float(d) for d in self.centers)
+        if not centers:
+            raise ValueError("need at least one branch center")
+        if not all(math.isfinite(d) for d in centers):
+            raise ValueError("non-finite branch center")
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "centers", centers)
+
+    @property
+    def dim(self) -> int:
+        return len(self.centers)
+
+    def fiducial(self) -> np.ndarray:
+        amps = np.zeros(self.dim, dtype=complex)
+        amps[0] = 1.0
+        return amps
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram kernel of the centers, built once per meter (read-only)."""
+        kernel = gram_matrix(self.sigma, self.centers)
+        kernel.flags.writeable = False
+        return kernel
+
+    def norm_sq(self, amplitudes: np.ndarray) -> float:
+        """Gram-kernel quadratic form of the whole state."""
+        return float(np.einsum("im,mn,in->", np.conj(amplitudes), self.gram, amplitudes).real)
+
+    def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Gram-kernel quadratic form of each internal row."""
+        forms = np.einsum("im,mn,in->i", np.conj(amplitudes), self.gram, amplitudes)
+        return forms.real.astype(float)
+
+    def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
+        """The branches of one component as a GaussianPointer; exact-zero branches are dropped.
+
+        With no branch dropped, the pointer is a view on this meter and shares its kernel.
+        """
+        branches = [(c, d) for c, d in zip(row, self.centers) if c != 0.0]
         if not branches:
-            raise ValueError("a pointer needs at least one branch")
-        for c, d in branches:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(d)):
-                raise ValueError(f"non-finite branch ({c}, {d})")
-        object.__setattr__(self, "branches", branches)
+            raise ValueError(f"component {label} carries no meter amplitude")
+        if len(branches) == self.dim:
+            return GaussianPointer._view(self, row)
+        return GaussianPointer(self.sigma, branches)
+
+    def couple(self, amplitudes: np.ndarray, target: int, shift: float):
+        """Displace the branches attached to one internal row by shift; the new (amplitudes, meter).
+
+        A finite set of branch centers is not closed under translation, so
+        this coupling has no finite square matrix; it acts by moving centers.
+        It is nevertheless exactly norm-preserving, because the Gram kernel
+        depends only on center differences.
+        """
+        centers = list(self.centers)
+        old_dim = len(centers)
+        moves = []
+        for col, amp in enumerate(amplitudes[target]):
+            if amp == 0.0:
+                continue
+            dest = centers[col] + shift
+            try:
+                j = centers.index(dest)
+            except ValueError:
+                centers.append(dest)
+                j = len(centers) - 1
+            moves.append((j, amp))
+        amps = np.zeros((len(amplitudes), len(centers)), dtype=complex)
+        amps[:, :old_dim] = amplitudes
+        amps[target, :] = 0.0
+        for j, amp in moves:
+            amps[target, j] += amp
+        return amps, GaussianMeter(self.sigma, tuple(centers))
+
+
+@dataclass(frozen=True)
+class QubitMeter(_EuclideanMetric):
+    """Third-ion meter with internal states (g, e); fiducial (|g> + |e>) / sqrt(2)."""
 
     @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.branches], dtype=complex)
+    def dim(self) -> int:
+        return 2
+
+    def fiducial(self) -> np.ndarray:
+        r = 1.0 / math.sqrt(2.0)
+        return np.array([r, r], dtype=complex)
+
+    def pointer(self, row: np.ndarray, label: str) -> QubitPointer:
+        return QubitPointer(row[0], row[1])
+
+    def couple(self, amplitudes: np.ndarray, target: int, rotation: np.ndarray):
+        """Rotate the meter attached to one internal row by a 2 x 2 unitary.
+
+        Returns the new (amplitudes, meter).
+        """
+        amps = amplitudes.copy()
+        amps[target] = rotation @ amps[target]
+        return amps, self
+
+
+MeterSpace = NoMeter | GaussianMeter | QubitMeter
+
+
+# --- Gaussian pointer algebra -----------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class GaussianPointer:
+    """Superposition sum_i c_i phi_{d_i}(x) of displaced ground-state Gaussians.
+
+    A view on the GaussianMeter that holds sigma, the centers d_i and their
+    Gram kernel, with one coefficient c_i per center (read-only).
+    GaussianPointer(sigma, branches) builds the meter from (coefficient,
+    center) pairs. The representation is exact: no truncation is involved
+    anywhere in the algebra below.
+    """
+
+    meter: GaussianMeter
+    coefficients: np.ndarray
+
+    def __init__(self, sigma: float, branches) -> None:
+        branches = tuple(branches)
+        self._bind(GaussianMeter(sigma, tuple(d for _, d in branches)), [c for c, _ in branches])
+
+    @classmethod
+    def _view(cls, meter: GaussianMeter, coefficients) -> GaussianPointer:
+        pointer = cls.__new__(cls)
+        pointer._bind(meter, coefficients)
+        return pointer
+
+    def _bind(self, meter: GaussianMeter, coefficients) -> None:
+        coefficients = np.array(coefficients, dtype=complex)
+        if not np.isfinite(coefficients).all():
+            raise ValueError(f"non-finite branch coefficient in {coefficients}")
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "meter", meter)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
+    def sigma(self) -> float:
+        return self.meter.sigma
+
+    @cached_property
     def centers(self) -> np.ndarray:
-        return np.array([d for _, d in self.branches], dtype=float)
+        centers = np.array(self.meter.centers)
+        centers.flags.writeable = False
+        return centers
 
-    def normalized(self) -> "GaussianPointer":
+    @cached_property
+    def branches(self) -> tuple[tuple[complex, float], ...]:
+        return tuple(zip(self.coefficients.tolist(), self.meter.centers))
+
+    def normalized(self) -> GaussianPointer:
         norm_sq = gaussian_norm_sq(self)
         if norm_sq < NORM_FLOOR:
             raise ValueError("cannot normalize a degenerate pointer state")
-        factor = 1.0 / math.sqrt(norm_sq)
-        return GaussianPointer(self.sigma, tuple((c * factor, d) for c, d in self.branches))
+        return GaussianPointer._view(self.meter, self.coefficients * (1.0 / math.sqrt(norm_sq)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,17 +283,14 @@ def gaussian_overlap(p: GaussianPointer, q: GaussianPointer) -> complex:
 
 
 def gaussian_norm_sq(p: GaussianPointer) -> float:
-    return gaussian_overlap(p, p).real
+    return _quad_form(p.coefficients, p.meter.gram, p.coefficients).real
 
 
-def gaussian_moments(p: GaussianPointer, gram: np.ndarray | None = None) -> tuple[float, float]:
-    """Exact (<x>, <x^2>) of the normalized pointer from one pass over gram, its Gram kernel.
-
-    The kernel is built here unless the caller holds it already (a meter's cached gram).
-    """
+def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
+    """Exact (<x>, <x^2>) of the normalized pointer from one pass over its meter's Gram kernel."""
     c = p.coefficients
     d = p.centers
-    gram = gram_matrix(p.sigma, d) if gram is None else gram
+    gram = p.meter.gram
     den = _quad_form(c, gram, c)
     if den.real < NORM_FLOOR:
         raise ValueError("degenerate pointer state (vanishing norm)")

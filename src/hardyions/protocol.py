@@ -9,7 +9,7 @@ measurements insert a meter coupling between the annihilation pulse and
 the second beamsplitters and condition the meter on that post-selection.
 The opening pulses (PREPARE) take no parameter, so the state they leave
 is evolved once per meter and kept, and a run evolves only the pulses after
-them; the pointer moments reuse the Gram kernel the final meter has built.
+them.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError(f"a must be a non-negative finite length, got {self.a}")
         if self.shots < 1:
             raise ValueError(f"need at least one shot, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -271,15 +273,17 @@ def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
     """
     if a < 0.0 or not math.isfinite(a):
         raise ValueError(f"a must be a non-negative finite length, got {a}")
-    final, probability, pointer = weak_gaussian_experiment(a, sigma).run()
-    # no branch of the conditional pointer vanishes, so the final meter's kernel is its kernel
-    mean, second = gaussian_moments(pointer, final.meter.gram)
+    _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
+    mean, second = gaussian_moments(pointer)
+    variance = second - mean * mean
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ValueError(f"pointer moments overflow a double at a = {a}, sigma = {sigma}")
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
         closed_form_mean=closed_form_mean(a, sigma),
-        pointer_variance=second - mean * mean,
+        pointer_variance=variance,
         conditional_pointer=pointer,
     )
 

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .meter import qubit_rotation_matrix
-from .statecore import (
-    BASIS_LABELS,
-    GG_INDEX,
-    GaussianMeter,
-    N_INTERNAL,
-    QubitMeter,
-    SystemState,
-)
+from .meter import GaussianMeter, QubitMeter, qubit_rotation_matrix
+from .statecore import BASIS_LABELS, GG_INDEX, N_INTERNAL, SystemState
 
 UNITARITY_TOL = 1e-12
 
@@ -90,7 +83,7 @@ class CouplingPulseOp:
                 f"{self.label} requires a {self.meter_type.__name__}, "
                 f"got {type(state.meter).__name__}"
             )
-        return state.meter.couple(state.amplitudes, GG_INDEX, self.action)
+        return SystemState(*state.meter.couple(state.amplitudes, GG_INDEX, self.action))
 
     def unitarity_defect(self) -> float:
         return self.defect
@@ -157,17 +150,6 @@ def partial_ccnot(theta: float) -> CouplingPulseOp:
     )
 
 
-def projector_onto(labels) -> np.ndarray:
-    """Diagonal projector onto a set of internal basis labels."""
-    if isinstance(labels, str):
-        labels = [labels]
-    matrix = np.zeros((N_INTERNAL, N_INTERNAL), dtype=complex)
-    for label in labels:
-        idx = BASIS_LABELS.index(label)
-        matrix[idx, idx] = 1.0
-    return matrix
-
-
 @dataclass(frozen=True)
 class MeasurementOutcome:
     label: str
@@ -176,34 +158,24 @@ class MeasurementOutcome:
 
 
 class MeasurementInstrument:
-    """Projective measurement over a complete orthogonal internal projector set."""
+    """Projective measurement onto groups of internal basis states.
 
-    def __init__(self, projectors: list[tuple[str, np.ndarray]]):
-        checked = []
-        total = np.zeros((N_INTERNAL, N_INTERNAL), dtype=complex)
-        for label, matrix in projectors:
-            matrix = np.asarray(matrix, dtype=complex)
-            if matrix.shape != (N_INTERNAL, N_INTERNAL):
-                raise ValueError(f"projector {label} must be 9x9, got {matrix.shape}")
-            if np.max(np.abs(matrix - matrix.conj().T)) > UNITARITY_TOL:
-                raise ValueError(f"projector {label} is not hermitian")
-            if np.max(np.abs(matrix @ matrix - matrix)) > UNITARITY_TOL:
-                raise ValueError(f"projector {label} is not idempotent")
-            total += matrix
-            checked.append((label, matrix))
-        if np.max(np.abs(total - np.eye(N_INTERNAL))) > UNITARITY_TOL:
+    groups is a list of (label, [internal labels]) pairs; every one of the
+    nine internal labels must fall in exactly one group.
+    """
+
+    def __init__(self, groups: list[tuple[str, list[str]]]):
+        groups = [(label, list(group)) for label, group in groups]
+        if sorted(i for _, group in groups for i in group) != sorted(BASIS_LABELS):
             raise ValueError("projector set does not sum to the identity")
-        for i, (label_i, p_i) in enumerate(checked):
-            for label_j, p_j in checked[i + 1 :]:
-                if np.max(np.abs(p_i @ p_j)) > UNITARITY_TOL:
-                    raise ValueError(f"projectors {label_i} and {label_j} are not orthogonal")
-        self.projectors = checked
+        self.groups = [(label, [BASIS_LABELS.index(i) for i in group]) for label, group in groups]
 
     def measure(self, state: SystemState) -> list[MeasurementOutcome]:
-        """Outcome probabilities and collapsed states for every projector."""
+        """Outcome probabilities and collapsed states for every group."""
         outcomes = []
-        for label, matrix in self.projectors:
-            amps = matrix @ state.amplitudes
+        for label, rows in self.groups:
+            amps = np.zeros_like(state.amplitudes)
+            amps[rows] = state.amplitudes[rows]
             probability = max(state.meter.norm_sq(amps), 0.0)
             collapsed = (
                 SystemState(amps / math.sqrt(probability), state.meter)
@@ -214,18 +186,8 @@ class MeasurementInstrument:
         return outcomes
 
 
-def strong_measurement(projectors=None) -> MeasurementInstrument:
-    """Projective instrument; default distinguishes |gg> from everything else.
-
-    projectors may be given as (label, 9x9 matrix) or (label, iterable of
-    internal labels) pairs.
-    """
-    if projectors is None:
-        gg = projector_onto("gg")
-        projectors = [("gg", gg), ("rest", np.eye(N_INTERNAL, dtype=complex) - gg)]
-    normalized = []
-    for label, proj in projectors:
-        if not isinstance(proj, np.ndarray):
-            proj = projector_onto(proj)
-        normalized.append((label, proj))
-    return MeasurementInstrument(normalized)
+def strong_measurement(groups=None) -> MeasurementInstrument:
+    """Projective instrument over (label, [internal labels]) groups; default |gg> versus the rest."""
+    if groups is None:
+        groups = [("gg", ["gg"]), ("rest", [label for label in BASIS_LABELS if label != "gg"])]
+    return MeasurementInstrument(groups)

@@ -56,6 +56,14 @@ class TestWeak:
         mean2 = json.loads(out2)["pointer_mean"]
         assert mean2 == pytest.approx(2.0 * mean1, rel=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_moments_rejected(self, capsys, fmt):
+        # at a = 1e300 the pointer's second moment overflows a double
+        code, out, err = run_cli(capsys, "weak", "--a", "1e300", "--format", fmt)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestScan:
     def test_row_count_and_header(self, capsys):
@@ -230,6 +238,14 @@ class TestPerShotWriter:
         code, out, err = run_cli(capsys, "mc", "--shots", "0", "--per-shot", str(path))
         assert code == 2
         assert err.startswith("error:")
+        assert out == ""
+        assert not path.exists()
+
+    def test_negative_seed_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "z.csv"
+        code, out, err = run_cli(capsys, "mc", "--seed", "-1", "--per-shot", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
         assert out == ""
         assert not path.exists()
 

@@ -1,0 +1,65 @@
+"""Property tests: a Gaussian pointer read out of a state is a view on the state's meter."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hardyions.errors import InvariantError
+from hardyions.meter import GaussianMeter, GaussianPointer, gaussian_moments, gaussian_norm_sq
+from hardyions.statecore import BASIS_LABELS, N_INTERNAL, SystemState, pointer_component
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+@st.composite
+def populated_states(draw):
+    """A 9 x M Gaussian-metered state (1-4 distinct centers) and a row with no zero amplitude."""
+    sigma = draw(st.floats(0.05, 20.0))
+    m = draw(st.integers(1, 4))
+    offsets = draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m, unique=True))
+    n = N_INTERNAL * m
+    moduli = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
+    amplitudes = (moduli * np.exp(1j * phases)).reshape(N_INTERNAL, m)
+    meter = GaussianMeter(sigma, tuple(sigma * d for d in offsets))
+    return SystemState(amplitudes, meter), draw(st.sampled_from(BASIS_LABELS))
+
+
+def moments_or_error(pointer):
+    try:
+        return gaussian_moments(pointer)
+    except (ValueError, InvariantError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(populated_states())
+def test_pointer_of_a_populated_row_shares_the_state_meter(case):
+    state, label = case
+    pointer = pointer_component(state, label)
+    assert pointer.meter is state.meter
+    assert pointer.sigma == state.meter.sigma
+    assert not pointer.coefficients.flags.writeable
+
+
+@PROPERTY_SETTINGS
+@given(populated_states())
+def test_pointer_norm_matches_the_row_norm(case):
+    # the two contractions differ in precision, so they agree to rounding of the form's terms
+    state, label = case
+    idx = BASIS_LABELS.index(label)
+    pointer = pointer_component(state, label)
+    row = state.meter.row_norms_sq(state.amplitudes)[idx]
+    magnitudes = np.abs(state.amplitudes[idx])
+    scale = float(magnitudes @ state.meter.gram.astype(float) @ magnitudes)
+    assert abs(gaussian_norm_sq(pointer) - row) <= 1e-13 * scale
+
+
+@PROPERTY_SETTINGS
+@given(populated_states())
+def test_view_moments_equal_those_of_a_built_pointer(case):
+    state, label = case
+    row = state.amplitudes[BASIS_LABELS.index(label)]
+    branches = [(complex(c), d) for c, d in zip(row, state.meter.centers)]
+    built = GaussianPointer(state.meter.sigma, branches)
+    assert moments_or_error(pointer_component(state, label)) == moments_or_error(built)

@@ -29,7 +29,7 @@ from hardyions.protocol import (
     weak_limit_check,
     weak_values_postselected,
 )
-from hardyions.pulses import beamsplitter, projector_onto, strong_measurement
+from hardyions.pulses import beamsplitter, strong_measurement
 from hardyions.shots import prepare_experiment
 from hardyions.statecore import (
     BASIS_LABELS,
@@ -214,6 +214,11 @@ class TestWeakGaussian:
         with pytest.raises(ValueError):
             run_weak_gaussian(-0.1)
 
+    def test_conditional_pointer_is_a_view_on_the_final_meter(self):
+        final, _, pointer = weak_gaussian_experiment(1.7).run()
+        assert pointer.meter is final.meter
+        assert run_weak_gaussian(1.7).conditional_pointer.meter.centers == (0.0, -1.7)
+
     def test_invariants_computed_once(self, monkeypatch):
         # cold: every pulse of the sequence is norm-checked, the prefix's one-center meter builds
         # its kernel and the coupled meter builds its own; warm, for any a at the same sigma: only
@@ -331,7 +336,7 @@ class TestStrongComparison:
     def test_disturbed_probability_from_branches(self):
         # independent two-branch computation with bare state operations
         psi = intermediate_state()
-        gg_proj = projector_onto("gg")
+        gg_proj = np.diag([1.0 + 0j if label == "gg" else 0j for label in BASIS_LABELS])
         rest = np.eye(9, dtype=complex) - gg_proj
         total = 0.0
         for proj in (gg_proj, rest):
@@ -376,6 +381,7 @@ class TestConfigAndReports:
             {"sigma": math.inf},
             {"a": math.inf},
             {"shots": 0},
+            {"seed": -1},
         ],
     )
     def test_run_config_validation(self, kwargs):

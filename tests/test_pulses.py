@@ -10,7 +10,6 @@ from hardyions.pulses import (
     beamsplitter,
     light_shift_meter,
     partial_ccnot,
-    projector_onto,
     strong_measurement,
 )
 from hardyions.statecore import (
@@ -258,12 +257,11 @@ class TestStrongMeasurement:
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            strong_measurement([("gg", projector_onto("gg"))])
+            strong_measurement([("gg", ["gg"])])
 
     def test_non_orthogonal_set_rejected(self):
-        full = np.eye(N_INTERNAL, dtype=complex)
         with pytest.raises(ValueError):
-            strong_measurement([("a", full), ("b", projector_onto("gg"))])
+            strong_measurement([("a", list(BASIS_LABELS)), ("b", ["gg"])])
 
     def test_label_based_projectors(self):
         instrument = strong_measurement(
