@@ -7,8 +7,8 @@ or a third ion) reads out intermediate-state populations without
 destroying the interference; post-selecting on the rare joint outcome
 exposes weak values (gg, ge, eg, ff) = (-1, +1, +1, 0) for the intermediate
 paths, visible as a pointer that moves opposite to the force applied to it.
-Each experiment is data (a meter, a pulse sequence and a post-selected
-outcome) run by one engine, protocol.evolve.
+Each experiment is data (a meter and the coupling pulses it inserts in the
+interferometer) run by one engine, protocol.evolve.
 """
 
 from .errors import InvariantError, PostSelectionError

@@ -287,7 +287,7 @@ def gaussian_norm_sq(p: GaussianPointer) -> float:
 
 
 def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
-    """Exact (<x>, <x^2>) of the normalized pointer from one pass over its meter's Gram kernel."""
+    """Exact (<x>, <x^2>) of the normalized pointer from one Gram-kernel pass; ValueError on overflow."""
     c = p.coefficients
     d = p.centers
     gram = p.meter.gram
@@ -299,6 +299,8 @@ def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
     num_xx = _quad_form(c, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid), c)
     mean = num_x / den
     second = num_xx / den
+    if not (math.isfinite(mean.real) and math.isfinite(second.real - mean.real * mean.real)):
+        raise ValueError("pointer moments overflow a double")
     scale = max(1.0, abs(mean.real), abs(second.real))
     if abs(mean.imag) > 1e-12 * scale or abs(second.imag) > 1e-12 * scale:
         raise InvariantError("position moments came out non-real")

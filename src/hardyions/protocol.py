@@ -1,15 +1,15 @@
 """Experiments on the two-ion interferometer, declared as data and run by one engine.
 
-An Experiment is a meter, the pulse sequence applied to |gg> x the meter's
-fiducial state, and the internal outcome post-selected at the end; evolve
-folds apply_unitary over the sequence. The ideal sequence is first
-beamsplitters, annihilation pulse, second beamsplitters; post-selecting
-both ions in |gg> then succeeds with probability 1/16. The weak
-measurements insert a meter coupling between the annihilation pulse and
-the second beamsplitters and condition the meter on that post-selection.
-The opening pulses (PREPARE) take no parameter, so the state they leave
-is evolved once per meter and kept, and a run evolves only the pulses after
-them.
+Every experiment is the same interferometer: first beamsplitters and the
+annihilation pulse (PREPARE), then the experiment's coupling, then the
+second beamsplitters (RECOMBINE), and post-selection of both ions in |gg>.
+An Experiment is therefore a meter and its coupling, the pulses between
+PREPARE and RECOMBINE: none for the ideal run, a light shift or a
+third-ion rotation for the weak measurements. evolve folds apply_unitary
+over a sequence. PREPARE takes no parameter, so the state it leaves is
+evolved once per meter and kept (intermediate_state); every run, and the
+weak values of the intermediate projectors, evolve on from that state.
+Without a coupling, post-selecting |gg> succeeds with probability 1/16.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import meter as meter_mod
 from .errors import InvariantError, PostSelectionError
-from .meter import GaussianPointer, gaussian_moments
+from .meter import NORM_FLOOR, GaussianPointer, gaussian_moments
 
 # Kept bound here, where the benchmark's tracer (bench/spans.py) wraps them.
 from .meter import gaussian_mean_x, gaussian_second_moment  # noqa: F401
@@ -59,9 +59,6 @@ INTERMEDIATE_PROJECTOR_LABELS = ("gg", "ge", "eg", "ff")
 BEAMSPLITTERS = (beamsplitter(1), beamsplitter(2))
 PREPARE = (*BEAMSPLITTERS, annihilation_pulse())
 RECOMBINE = BEAMSPLITTERS
-
-# The second beamsplitter pair as one internal matrix.
-_U2 = RECOMBINE[1].matrix @ RECOMBINE[0].matrix
 
 _LD = np.longdouble
 
@@ -172,46 +169,46 @@ def evolve(state: SystemState, sequence) -> SystemState:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment as data.
+    """One experiment as data: a meter and its coupling.
 
-    meter is attached in its fiducial state to |gg>, sequence is applied
-    by evolve, and postselect is the index of the internal outcome the
-    meter is conditioned on.
+    meter is attached in its fiducial state to |gg>; coupling is the tuple
+    of pulses between PREPARE and RECOMBINE. Every experiment post-selects
+    |gg>.
     """
 
     meter: MeterSpace
-    sequence: tuple[PulseOp, ...]
-    postselect: int
+    coupling: tuple[PulseOp, ...]
+
+    @property
+    def sequence(self) -> tuple[PulseOp, ...]:
+        return (*PREPARE, *self.coupling, *RECOMBINE)
 
     def final_state(self) -> SystemState:
-        """evolve over the sequence; one that opens with PREPARE resumes from intermediate_state."""
-        if self.sequence[: len(PREPARE)] == PREPARE:
-            return evolve(intermediate_state(self.meter), self.sequence[len(PREPARE) :])
-        return evolve(init_ground(self.meter), self.sequence)
+        """The memoized intermediate state, evolved through the coupling and RECOMBINE."""
+        return evolve(intermediate_state(self.meter), (*self.coupling, *RECOMBINE))
 
     def run(self):
         """Final state, post-selection probability and the conditional meter pointer."""
         final = self.final_state()
-        label = BASIS_LABELS[self.postselect]
-        probability, conditional = project_internal(final, label)
-        return final, probability, pointer_component(conditional, label)
+        probability, conditional = project_internal(final, "gg")
+        return final, probability, pointer_component(conditional, "gg")
 
 
-IDEAL = Experiment(NoMeter(), (*PREPARE, *RECOMBINE), GG_INDEX)
+IDEAL = Experiment(NoMeter(), ())
 
 
 def weak_gaussian_experiment(a: float, sigma: float = 1.0) -> Experiment:
     """Relative-coordinate Gaussian meter, its |gg> branch displaced by -a."""
-    return Experiment(GaussianMeter(sigma), (*PREPARE, light_shift_meter(a), *RECOMBINE), GG_INDEX)
+    return Experiment(GaussianMeter(sigma), (light_shift_meter(a),))
 
 
 def third_ion_experiment(theta: float) -> Experiment:
     """Third-ion qubit meter, rotated by theta when the system is in |gg>."""
-    return Experiment(QubitMeter(), (*PREPARE, partial_ccnot(theta), *RECOMBINE), GG_INDEX)
+    return Experiment(QubitMeter(), (partial_ccnot(theta),))
 
 
 @lru_cache(maxsize=64)  # meters are frozen and states immutable, so one evolution serves every run
-def intermediate_state(meter: MeterSpace | None = None) -> SystemState:
+def intermediate_state(meter: MeterSpace) -> SystemState:
     """The state between the annihilation pulse and the second beamsplitters."""
     return evolve(init_ground(meter), PREPARE)
 
@@ -225,9 +222,9 @@ def run_ideal() -> IdealResult:
 def weak_values_postselected() -> dict[str, complex]:
     """Weak values of the intermediate projectors, post-selected on |gg>.
 
-    Computed as transition amplitudes <gg|U P|psi> / <gg|U|psi> with U the
-    second beamsplitter pair and psi the intermediate state. The occupied
-    intermediate components are gg, ge, eg, ff; their weak values come out
+    Transition amplitudes <gg|U P|psi> / <gg|U|psi>, psi the intermediate
+    state: evolve carries each P|psi> and psi through U = RECOMBINE. The
+    occupied intermediate components are gg, ge, eg, ff; their weak values come out
     (-1, +1, +1, 0) and sum to one. They depend on no parameter, so they
     are computed once, at import; each call returns a fresh copy.
     """
@@ -235,16 +232,17 @@ def weak_values_postselected() -> dict[str, complex]:
 
 
 def _evolved_weak_values() -> dict[str, complex]:
-    psi = intermediate_state(NoMeter()).amplitudes[:, 0]
-    denominator = (_U2 @ psi)[GG_INDEX]
-    if abs(denominator) ** 2 < 1e-15:
+    psi = intermediate_state(NoMeter())
+    denominator = IDEAL.final_state().amplitudes[GG_INDEX, 0]
+    if abs(denominator) ** 2 < NORM_FLOOR:
         raise PostSelectionError("post-selection amplitude vanishes")
     values = {}
     for label in INTERMEDIATE_PROJECTOR_LABELS:
-        projected = np.zeros_like(psi)
+        projected = np.zeros_like(psi.amplitudes)
         idx = BASIS_LABELS.index(label)
-        projected[idx] = psi[idx]
-        values[label] = complex((_U2 @ projected)[GG_INDEX] / denominator)
+        projected[idx] = psi.amplitudes[idx]
+        final = evolve(SystemState(projected, psi.meter), RECOMBINE)
+        values[label] = complex(final.amplitudes[GG_INDEX, 0] / denominator)
     return values
 
 
@@ -275,15 +273,12 @@ def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
         raise ValueError(f"a must be a non-negative finite length, got {a}")
     _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
     mean, second = gaussian_moments(pointer)
-    variance = second - mean * mean
-    if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise ValueError(f"pointer moments overflow a double at a = {a}, sigma = {sigma}")
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
         closed_form_mean=closed_form_mean(a, sigma),
-        pointer_variance=variance,
+        pointer_variance=second - mean * mean,
         conditional_pointer=pointer,
     )
 

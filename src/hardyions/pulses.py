@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .meter import GaussianMeter, QubitMeter, qubit_rotation_matrix
+from .meter import NORM_FLOOR, GaussianMeter, QubitMeter, qubit_rotation_matrix
 from .statecore import BASIS_LABELS, GG_INDEX, N_INTERNAL, SystemState
 
 UNITARITY_TOL = 1e-12
@@ -172,15 +172,16 @@ class MeasurementInstrument:
 
     def measure(self, state: SystemState) -> list[MeasurementOutcome]:
         """Outcome probabilities and collapsed states for every group."""
+        row_norms = state.meter.row_norms_sq(state.amplitudes)
         outcomes = []
         for label, rows in self.groups:
             amps = np.zeros_like(state.amplitudes)
             amps[rows] = state.amplitudes[rows]
-            probability = max(state.meter.norm_sq(amps), 0.0)
+            probability = max(float(row_norms[rows].sum()), 0.0)
             collapsed = (
-                SystemState(amps / math.sqrt(probability), state.meter)
-                if probability > 1e-15
-                else None
+                None
+                if probability < NORM_FLOOR
+                else SystemState(amps / math.sqrt(probability), state.meter)
             )
             outcomes.append(MeasurementOutcome(label, probability, collapsed))
         return outcomes

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .meter import GaussianPointer, gaussian_norm_sq, to_grid
+from .meter import NORM_FLOOR, GaussianPointer, gaussian_moments, gaussian_norm_sq, to_grid
 from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_experiment
 from .statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
@@ -69,7 +69,7 @@ def sample_pointer(pointer: GaussianPointer, n: int, seed: int) -> np.ndarray:
     """n independent draws from |phi_c(x)|^2; identical seeds give identical samples."""
     if n < 1:
         raise ValueError(f"need at least one sample, got n = {n}")
-    if gaussian_norm_sq(pointer) < 1e-15:
+    if gaussian_norm_sq(pointer) < NORM_FLOOR:
         raise ValueError("cannot sample from a degenerate pointer state")
     cdf, xs = _inverse_cdf_table(pointer)
     return _draw_pointer(np.random.default_rng(seed), n, cdf, xs)
@@ -96,6 +96,7 @@ class BatchTotals:
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
     """Evolve the weak experiment once for its acceptance threshold and conditional pointer CDF."""
     final, _, pointer = weak_gaussian_experiment(config.a, config.sigma).run()
+    gaussian_moments(pointer)  # raises, before any grid is evaluated, where the moments overflow a double
     table = internal_probabilities(final)
     probabilities = np.array([table[label] for label in BASIS_LABELS])
     # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]

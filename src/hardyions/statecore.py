@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvariantError, PostSelectionError
-from .meter import GaussianMeter, MeterSpace, NoMeter, QubitMeter  # noqa: F401  (re-exported)
+from .meter import NORM_FLOOR, GaussianMeter, MeterSpace, NoMeter, QubitMeter  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     from .pulses import PulseOp
@@ -37,7 +37,6 @@ BASIS_LABELS = tuple(a + b for a in LEVELS for b in LEVELS)
 GG_INDEX = BASIS_LABELS.index("gg")
 
 NORM_TOL = 1e-12
-POSTSELECTION_FLOOR = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +69,7 @@ class SystemState:
 
     def normalized(self) -> "SystemState":
         norm = self.norm
-        if norm * norm < POSTSELECTION_FLOOR:
+        if norm * norm < NORM_FLOOR:
             raise ValueError("cannot normalize a state with vanishing norm")
         return SystemState(self.amplitudes / norm, self.meter)
 
@@ -98,11 +97,11 @@ def project_internal(state: SystemState, target: str) -> tuple[float, SystemStat
 
     Returns the outcome probability (meter metric included) and the
     renormalized conditional state. Raises PostSelectionError when the
-    probability is below 1e-15.
+    probability is below NORM_FLOOR.
     """
     idx = BASIS_LABELS.index(target)
     probability = internal_probabilities(state)[target]
-    if probability < POSTSELECTION_FLOOR:
+    if probability < NORM_FLOOR:
         raise PostSelectionError(f"post-selection impossible: P({target}) = {probability:.3e}")
     amps = np.zeros_like(state.amplitudes)
     amps[idx] = state.amplitudes[idx] / math.sqrt(probability)

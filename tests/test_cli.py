@@ -140,6 +140,23 @@ class TestMonteCarlo:
         assert code == 3
         assert json.loads(out)["sample_mean"] is None
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_moments_fail_before_sampling(self, capsys, monkeypatch, fmt):
+        # at a = 1e300 the pointer's second moment overflows a double: the run is
+        # rejected before the sampling grid is evaluated or any batch is drawn
+        calls = []
+        draw_batch, to_grid = shots.draw_batch, shots.to_grid
+        monkeypatch.setattr(shots, "draw_batch", lambda *args: calls.append("draw") or draw_batch(*args))
+        monkeypatch.setattr(shots, "to_grid", lambda *args: calls.append("grid") or to_grid(*args))
+        code, out, err = run_cli(capsys, "mc", "--a", "1e300", "--shots", "1000", "--format", fmt)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert calls == []
+        # the counters see the grid and the batch of a run that fits a double
+        assert run_cli(capsys, "mc", "--a", "1e150", "--shots", "1000", "--format", fmt)[0] == 0
+        assert calls == ["grid", "draw"]
+
     def test_per_shot_csv(self, capsys, tmp_path):
         path = tmp_path / "shots.csv"
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hardyions.meter import (
 from hardyions.protocol import (
     IDEAL,
     PREPARE,
+    RECOMBINE,
+    Experiment,
     RunConfig,
     WeakValueReport,
     closed_form_mean,
@@ -122,6 +125,38 @@ class TestEngine:
         # equal meters share an entry: an integer width is the same length as its float
         assert intermediate_state(GaussianMeter(2)) is states[2]
         assert type(states[2].meter.sigma) is float
+
+    def test_experiment_is_a_meter_and_its_coupling(self):
+        assert [(f.name, f.default, f.default_factory) for f in fields(Experiment)] == [
+            ("meter", MISSING, MISSING),
+            ("coupling", MISSING, MISSING),
+        ]
+        assert IDEAL.coupling == ()
+        weak = weak_gaussian_experiment(0.1)
+        assert weak.sequence == (*PREPARE, *weak.coupling, *RECOMBINE)
+        # the intermediate state has no default meter
+        with pytest.raises(TypeError):
+            intermediate_state()
+
+    def test_weak_values_run_through_the_engine(self, monkeypatch):
+        # warm, the ideal run's two recombining pulses give the denominator and each of the
+        # four projected intermediate states passes through the same two pulses
+        from hardyions import protocol
+
+        intermediate_state(NoMeter())
+        calls = []
+        apply = protocol.apply_unitary
+        monkeypatch.setattr(
+            protocol, "apply_unitary", lambda state, op: calls.append(op.label) or apply(state, op)
+        )
+        values = protocol._evolved_weak_values()
+        assert calls == [op.label for op in RECOMBINE] * 5
+        stored = weak_values_postselected()
+        assert list(values) == list(stored) == ["gg", "ge", "eg", "ff"]
+        assert np.array(list(values.values())).tobytes() == np.array(list(stored.values())).tobytes()
+        # the signs of the zeros are those the CLI prints
+        signs = [(math.copysign(1.0, v.real), math.copysign(1.0, v.imag)) for v in stored.values()]
+        assert signs == [(-1.0, -1.0), (1.0, -1.0), (1.0, -1.0), (-1.0, -1.0)]
 
     def test_run_postselects_gg(self):
         final, probability, pointer = weak_gaussian_experiment(0.3).run()
@@ -335,7 +370,7 @@ class TestStrongComparison:
 
     def test_disturbed_probability_from_branches(self):
         # independent two-branch computation with bare state operations
-        psi = intermediate_state()
+        psi = intermediate_state(NoMeter())
         gg_proj = np.diag([1.0 + 0j if label == "gg" else 0j for label in BASIS_LABELS])
         rest = np.eye(9, dtype=complex) - gg_proj
         total = 0.0
