@@ -1,16 +1,16 @@
 """Meters of the interferometer and the pointers they read out.
 
-Each meter class owns its basis (dim, fiducial), its metric (norm_sq of a
-whole state, row_norms_sq of the nine internal outcomes), its readout
-(pointer) and, for the meters a pulse couples to, that coupling (couple
-returns the new amplitudes and meter). This module alone knows the Gaussian
-branch representation: the Gram kernel, its two contractions (the meters'
-einsum for state norms and outcome tables, the extended-precision quadratic
-forms for pointer norms and moments), the light-shift displacement and the
-readout. A GaussianPointer is a view on a GaussianMeter and one coefficient
-per center, so a pointer read out of a state shares that state's meter and
-its cached kernel. A sampled position grid serves as an independent
-numerical oracle, and a two-level pointer reads out the third-ion scheme.
+Each meter class owns its basis (dim, fiducial), its metric (row_norms_sq,
+the norm of each of the nine internal outcomes), its readout (pointer) and,
+for the meters a pulse couples to, that coupling (couple returns the new
+amplitudes and meter). This module alone knows the Gaussian branch
+representation: the Gram kernel, the one contraction that computes every
+quadratic form over it (outcome tables, pointer norms, overlaps and
+moments), the light-shift displacement and the readout. A GaussianPointer
+is a view on a GaussianMeter and one coefficient per center, so a pointer
+read out of a state shares that state's meter and its cached kernel. A
+sampled position grid serves as an independent numerical oracle, and a
+two-level pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -35,16 +35,22 @@ GRID_POINTS_DEFAULT = 4096
 GRID_PADDING_SIGMAS = 6.0
 
 # Post-selected pointer means sit on near-complete cancellations between
-# Gram terms; quadratic forms therefore accumulate in extended precision
-# (80-bit on x86 Linux; degrades gracefully where longdouble == double).
+# Gram terms, so the kernel is built in extended precision (80-bit on x86
+# Linux; degrades gracefully where longdouble == double) and every quadratic
+# form, taken through _gram_forms, is promoted to it. This name alone sets
+# that precision.
 _LD = np.longdouble
-_CLD = np.clongdouble
 
 
 def gauss_kernel(delta, sigma: float):
     """Overlap exp(-delta^2 / (8 sigma^2)) of two width-sigma Gaussians separated by delta."""
     d = np.asarray(delta, dtype=_LD)
     return np.exp(-(d * d) / (_LD(8.0) * _LD(sigma) * _LD(sigma)))
+
+
+def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """conj(bra[i]) . kernel . ket[i] for each row i, in the kernel's precision."""
+    return np.einsum("im,mn,in->i", np.conj(bra), kernel, ket)
 
 
 def gram_matrix(sigma: float, centers) -> np.ndarray:
@@ -65,9 +71,6 @@ def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
 
 class _EuclideanMetric:
     """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
-
-    def norm_sq(self, amplitudes: np.ndarray) -> float:
-        return float(np.vdot(amplitudes, amplitudes).real)
 
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         return np.einsum("im,im->i", np.conj(amplitudes), amplitudes).real
@@ -122,14 +125,9 @@ class GaussianMeter:
         kernel.flags.writeable = False
         return kernel
 
-    def norm_sq(self, amplitudes: np.ndarray) -> float:
-        """Gram-kernel quadratic form of the whole state."""
-        return float(np.einsum("im,mn,in->", np.conj(amplitudes), self.gram, amplitudes).real)
-
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         """Gram-kernel quadratic form of each internal row."""
-        forms = np.einsum("im,mn,in->i", np.conj(amplitudes), self.gram, amplitudes)
-        return forms.real.astype(float)
+        return _gram_forms(amplitudes, self.gram, amplitudes).real.astype(float)
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
         """The branches of one component as a GaussianPointer; exact-zero branches are dropped.
@@ -262,16 +260,6 @@ class GaussianPointer:
         }
 
 
-def _quad_form(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> complex:
-    value = np.einsum(
-        "i,ij,j->",
-        np.conj(bra.astype(_CLD)),
-        kernel.astype(_CLD),
-        ket.astype(_CLD),
-    )
-    return complex(value)
-
-
 def gaussian_overlap(p: GaussianPointer, q: GaussianPointer) -> complex:
     """Inner product <p|q> = sum_ij conj(c_i) c'_j exp(-(d_i - d'_j)^2 / (8 sigma^2))."""
     if p.sigma != q.sigma:
@@ -279,26 +267,23 @@ def gaussian_overlap(p: GaussianPointer, q: GaussianPointer) -> complex:
             f"mixed-width overlap is not supported (sigma {p.sigma} vs {q.sigma})"
         )
     kernel = cross_gram(p.sigma, p.centers, q.centers)
-    return _quad_form(p.coefficients, kernel, q.coefficients)
+    return complex(_gram_forms(p.coefficients[None], kernel, q.coefficients[None])[0])
 
 
 def gaussian_norm_sq(p: GaussianPointer) -> float:
-    return _quad_form(p.coefficients, p.meter.gram, p.coefficients).real
+    return float(p.meter.row_norms_sq(p.coefficients[None])[0])
 
 
 def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
-    """Exact (<x>, <x^2>) of the normalized pointer from one Gram-kernel pass; ValueError on overflow."""
-    c = p.coefficients
-    d = p.centers
+    """Exact (<x>, <x^2>) of the normalized pointer from three Gram-kernel forms; ValueError on overflow."""
+    c = p.coefficients[None]
     gram = p.meter.gram
-    den = _quad_form(c, gram, c)
+    den = complex(_gram_forms(c, gram, c)[0])
     if den.real < NORM_FLOOR:
         raise ValueError("degenerate pointer state (vanishing norm)")
-    mid = ((d[:, None] + d[None, :]) / 2.0).astype(_LD)
-    num_x = _quad_form(c, gram * mid, c)
-    num_xx = _quad_form(c, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid), c)
-    mean = num_x / den
-    second = num_xx / den
+    mid = (p.centers[:, None] / 2.0 + p.centers[None, :] / 2.0).astype(_LD)
+    mean = complex(_gram_forms(c, gram * mid, c)[0]) / den
+    second = complex(_gram_forms(c, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid), c)[0]) / den
     if not (math.isfinite(mean.real) and math.isfinite(second.real - mean.real * mean.real)):
         raise ValueError("pointer moments overflow a double")
     scale = max(1.0, abs(mean.real), abs(second.real))

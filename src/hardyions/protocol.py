@@ -15,6 +15,7 @@ Without a coupling, post-selecting |gg> succeeds with probability 1/16.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -60,8 +61,6 @@ BEAMSPLITTERS = (beamsplitter(1), beamsplitter(2))
 PREPARE = (*BEAMSPLITTERS, annihilation_pulse())
 RECOMBINE = BEAMSPLITTERS
 
-_LD = np.longdouble
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -75,6 +74,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
+        if self.sigma * self.sigma < sys.float_info.min:  # the pointer density needs a normal sigma^2
+            raise ValueError(f"sigma^2 underflows a double, got sigma = {self.sigma}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError(f"a must be a non-negative finite length, got {self.a}")
         if self.shots < 1:
@@ -257,9 +258,8 @@ def closed_form_mean(a: float, sigma: float = 1.0) -> float:
     """
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    g = meter_mod.gauss_kernel(a, sigma)
-    value = -_LD(a) * (1.0 - 2.0 * g) / (5.0 - 4.0 * g)
-    return float(value)
+    g = meter_mod.gauss_kernel(a, sigma)  # the quotient inherits the kernel's precision
+    return float(-a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g))
 
 
 def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:

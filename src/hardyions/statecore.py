@@ -7,11 +7,11 @@ labels run gg, ge, gf, eg, ee, ef, fg, fe, ff. Amplitudes are stored as a
 no meter is attached.
 
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
-module and are re-exported here. A state asks its meter for every norm:
-the whole state's norm_sq, and the nine per-outcome row norms, so outcome
-probabilities are read off without building a projected state; a Gaussian
-meter's Gram kernel never appears in this module. States are immutable, so
-each computes its norm once.
+module and are re-exported here. A state asks its meter for one metric,
+the nine per-outcome row norms: outcome probabilities are read off them
+without building a projected state, and the whole state's norm_sq is their
+sum. A Gaussian meter's Gram kernel never appears in this module. States are
+immutable, so each computes its norm once.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ class SystemState:
 
     @property
     def norm_sq(self) -> float:
-        """Squared norm in the meter's metric, computed on first use and kept with the state."""
+        """Sum of the meter's row norms, computed on first use and kept with the state."""
         if "_norm_sq" not in self.__dict__:
-            self.__dict__["_norm_sq"] = self.meter.norm_sq(self.amplitudes)
+            self.__dict__["_norm_sq"] = sum(self.meter.row_norms_sq(self.amplitudes).tolist())
         return self.__dict__["_norm_sq"]
 
     @property

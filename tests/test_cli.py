@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import hardyions
 from hardyions import shots
 from hardyions.cli import main
 from hardyions.protocol import RunConfig
@@ -63,6 +68,26 @@ class TestWeak:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+    def test_subnormal_sigma_still_runs(self, capsys):
+        # weak takes no RunConfig, so the Monte-Carlo bound on sigma^2 does not apply
+        code, out, err = run_cli(capsys, "weak", "--sigma", "1e-320")
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["closed-form mean"] == "5e-322"
+        assert abs(float(lines["pointer mean"]) - 5e-322) <= 2 * 5e-324
+
+    def test_midpoint_overflow_prints_only_the_error(self):
+        # a fresh interpreter with the default warning filters, as a user runs it: a numpy
+        # overflow warning would reach stderr ahead of the error line
+        env = {**os.environ, "PYTHONPATH": str(Path(hardyions.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardyions.cli", "weak", "--a", "1.7e308"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: pointer moments overflow a double"]
 
 
 class TestScan:
@@ -156,6 +181,18 @@ class TestMonteCarlo:
         # the counters see the grid and the batch of a run that fits a double
         assert run_cli(capsys, "mc", "--a", "1e150", "--shots", "1000", "--format", fmt)[0] == 0
         assert calls == ["grid", "draw"]
+
+    @pytest.mark.parametrize("per_shot", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sigma_with_subnormal_square_rejected(self, capsys, tmp_path, fmt, per_shot):
+        # at sigma = 1e-170 the pointer's normalization (2 pi sigma^2)^(-1/4) divides by zero
+        path = tmp_path / "shots.csv"
+        argv = ["mc", "--sigma", "1e-170", "--shots", "10", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv, *(["--per-shot", str(path)] if per_shot else []))
+        assert code == 2
+        assert err.startswith("error:") and "sigma" in err
+        assert out == ""
+        assert not path.exists()
 
     def test_per_shot_csv(self, capsys, tmp_path):
         path = tmp_path / "shots.csv"

@@ -45,14 +45,11 @@ def test_pointer_of_a_populated_row_shares_the_state_meter(case):
 @PROPERTY_SETTINGS
 @given(populated_states())
 def test_pointer_norm_matches_the_row_norm(case):
-    # the two contractions differ in precision, so they agree to rounding of the form's terms
+    # one contraction computes both, so they agree bit for bit
     state, label = case
-    idx = BASIS_LABELS.index(label)
     pointer = pointer_component(state, label)
-    row = state.meter.row_norms_sq(state.amplitudes)[idx]
-    magnitudes = np.abs(state.amplitudes[idx])
-    scale = float(magnitudes @ state.meter.gram.astype(float) @ magnitudes)
-    assert abs(gaussian_norm_sq(pointer) - row) <= 1e-13 * scale
+    row = state.meter.row_norms_sq(state.amplitudes)[BASIS_LABELS.index(label)]
+    assert gaussian_norm_sq(pointer) == row
 
 
 @PROPERTY_SETTINGS

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyions.protocol import run_third_ion, run_weak_gaussian, weak_values_postselected
+from hardyions import meter
+from hardyions.protocol import intermediate_state, run_third_ion, run_weak_gaussian, weak_values_postselected
 
 pytest.importorskip("mpmath")
 
@@ -49,7 +50,16 @@ def assert_within_bound(errors: dict) -> None:
     assert not failing, f"errors beyond {ERROR_BOUND / EPS:.0f} eps: {failing}"
 
 
-def test_weak_gaussian_against_oracle():
+@pytest.fixture
+def double_precision(monkeypatch):
+    """The package with meter._LD, the one name that sets the extended precision, patched to float64."""
+    monkeypatch.setattr(meter, "_LD", np.float64)
+    intermediate_state.cache_clear()  # its states hold meters whose kernels were built in longdouble
+    yield
+    intermediate_state.cache_clear()
+
+
+def check_weak_gaussian_against_oracle():
     errors = {"pointer_mean": [], "closed_form_mean": [], "pointer_variance": [], "P(gg)": []}
     for aos in WEAK_POINTS:
         report = run_weak_gaussian(aos)
@@ -62,6 +72,16 @@ def test_weak_gaussian_against_oracle():
         probability = oracle.postselection_probability(aos)
         errors["P(gg)"].append((error(report.postselection_probability, probability), aos))
     assert_within_bound(errors)
+
+
+def test_weak_gaussian_against_oracle():
+    check_weak_gaussian_against_oracle()
+
+
+def test_weak_gaussian_in_double_precision(double_precision):
+    # a platform whose longdouble is a double gets these results: the bound holds there too
+    assert run_weak_gaussian(1.0).conditional_pointer.meter.gram.dtype == np.float64
+    check_weak_gaussian_against_oracle()
 
 
 def test_third_ion_against_oracle():

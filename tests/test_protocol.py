@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -245,6 +246,12 @@ class TestWeakGaussian:
         _, grid_var = grid_moments(to_grid(report.conditional_pointer))
         assert report.pointer_variance == pytest.approx(grid_var, rel=1e-6)
 
+    def test_midpoint_beyond_half_the_double_range_rejected(self):
+        # branch centers 0 and -1.7e308: their sum overflows a double, their halves do not,
+        # so the run fails on the overflowing moments, with no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="overflow a double"):
+            run_weak_gaussian(1.7e308)
+
     def test_negative_displacement_rejected(self):
         with pytest.raises(ValueError):
             run_weak_gaussian(-0.1)
@@ -417,11 +424,17 @@ class TestConfigAndReports:
             {"a": math.inf},
             {"shots": 0},
             {"seed": -1},
+            {"sigma": 1.49e-154},
+            {"sigma": 5e-324},
         ],
     )
     def test_run_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_run_config_accepts_a_sigma_whose_square_is_normal(self):
+        assert 1.5e-154 * 1.5e-154 > sys.float_info.min > 1.49e-154 * 1.49e-154
+        assert RunConfig(sigma=1.5e-154).sigma == 1.5e-154
 
     def test_weak_value_report_invariant(self):
         with pytest.raises(InvariantError, match="sum to 1"):

@@ -222,7 +222,7 @@ class TestNormAndProjection:
         meter = GaussianMeter(1.0, (0.0, -0.5))
         rng = np.random.default_rng(7)
         for state in [random_state(rng, meter) for _ in range(3)]:
-            meter.norm_sq(state.amplitudes)
+            SystemState(state.amplitudes, meter).norm_sq
             meter.row_norms_sq(state.amplitudes)
         assert builds == [(1.0, (0.0, -0.5))]
         np.testing.assert_array_equal(meter.gram, gram_matrix(1.0, (0.0, -0.5)))
