@@ -46,7 +46,7 @@ from .pulses import (
     partial_ccnot,
     strong_measurement,
 )
-from .shots import ShotResult, run_experiment_mc, sample_pointer, shots_required
+from .shots import ShotResult, run_experiment_mc
 from .statecore import (
     GaussianMeter,
     NoMeter,

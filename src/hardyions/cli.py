@@ -32,7 +32,15 @@ EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 4
 
 _DEFAULTS = {**asdict(RunConfig()), "theta": 0.1}
-_CONFIG_TYPES = {"a": float, "sigma": float, "theta": float, "shots": int, "seed": int, "format": str}
+# The run parameters, each taken from its flag or a config key of the same name: (type, help).
+_PARAMS = {
+    "a": (float, "light-shift displacement in units of sigma"),
+    "sigma": (float, "pointer ground-state width"),
+    "theta": (float, "partial C2-NOT rotation angle in radians"),
+    "shots": (int, "number of experimental shots"),
+    "seed": (int, "random seed"),
+}
+_CONFIG_TYPES = {**{key: kind for key, (kind, _) in _PARAMS.items()}, "format": str}
 
 
 @cache
@@ -52,30 +60,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="FILE", default=None, help="key=value file; explicit flags override it")
         p.set_defaults(formats=formats)
 
+    def add_params(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", type=_PARAMS[name][0], default=None, help=_PARAMS[name][1])
+
     p = sub.add_parser("ideal", help="bare interferometer: final amplitudes and outcome table")
     add_common(p, ("text", "json", "csv"))
 
     p = sub.add_parser("weak", help="weak measurement via the light-shift meter, post-selected on gg")
-    p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
-    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
+    add_params(p, "a", "sigma")
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("scan", help="sweep a/sigma and tabulate the conditional pointer mean")
     p.add_argument("--min", type=float, default=0.01, help="lower end of the a/sigma range")
     p.add_argument("--max", type=float, default=5.0, help="upper end of the a/sigma range")
     p.add_argument("--steps", type=int, default=100, help="number of scan points (>= 2)")
-    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
+    add_params(p, "sigma")
     add_common(p, ("csv", "json"))
 
     p = sub.add_parser("third-ion", help="weak measurement with a third-ion qubit meter")
-    p.add_argument("--theta", type=float, default=None, help="partial C2-NOT rotation angle in radians")
+    add_params(p, "theta")
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("mc", help="Monte-Carlo simulation of repeated shots")
-    p.add_argument("--a", type=float, default=None, help="light-shift displacement in units of sigma")
-    p.add_argument("--sigma", type=float, default=None, help="pointer ground-state width")
-    p.add_argument("--shots", type=int, default=None, help="number of experimental shots")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    add_params(p, "a", "sigma", "shots", "seed")
     p.add_argument("--per-shot", metavar="FILE", default=None, help="also write per-shot CSV to FILE")
     add_common(p, ("json", "text"))
 
@@ -98,7 +106,10 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_TYPES[key](value.strip())
+            try:
+                values[key] = _CONFIG_TYPES[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
@@ -106,16 +117,10 @@ def _resolve(args) -> dict:
     """The subcommand's run parameters: explicit flag, else config file, else default."""
     file_values = _read_config_file(args.config) if args.config else {}
     resolved = {}
-    for key in _DEFAULTS:
-        if not hasattr(args, key):
-            continue
-        flag = getattr(args, key)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            resolved[key] = file_values[key]
-        else:
-            resolved[key] = _DEFAULTS[key]
+    for key in _PARAMS:
+        if hasattr(args, key):
+            flag = getattr(args, key)
+            resolved[key] = flag if flag is not None else file_values.get(key, _DEFAULTS[key])
     fmt = args.format if args.format is not None else file_values.get("format", args.formats[0])
     if fmt not in args.formats:
         raise ValueError(f"{args.config}: format must be one of {', '.join(args.formats)}, got {fmt!r}")

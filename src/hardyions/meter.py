@@ -7,10 +7,11 @@ amplitudes and meter). This module alone knows the Gaussian branch
 representation: the Gram kernel, the one contraction that computes every
 quadratic form over it (outcome tables, pointer norms, overlaps and
 moments), the light-shift displacement and the readout. A GaussianPointer
-is a view on a GaussianMeter and one coefficient per center, so a pointer
-read out of a state shares that state's meter and its cached kernel. A
-sampled position grid serves as an independent numerical oracle, and a
-two-level pointer reads out the third-ion scheme.
+is a view on a GaussianMeter and one coefficient per center. A pointer read
+from a state is always a view on that state's meter, with one coefficient
+per branch (zero where the component has no amplitude), so it shares the
+meter's cached kernel. A sampled position grid serves as an independent
+numerical oracle, and a two-level pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -45,7 +46,9 @@ _LD = np.longdouble
 def gauss_kernel(delta, sigma: float):
     """Overlap exp(-delta^2 / (8 sigma^2)) of two width-sigma Gaussians separated by delta."""
     d = np.asarray(delta, dtype=_LD)
-    return np.exp(-(d * d) / (_LD(8.0) * _LD(sigma) * _LD(sigma)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_sq = d * d  # inf beyond the precision's range, where exp(-inf) = 0 is the true overlap
+    return np.exp(-d_sq / (_LD(8.0) * _LD(sigma) * _LD(sigma)))
 
 
 def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -130,16 +133,10 @@ class GaussianMeter:
         return _gram_forms(amplitudes, self.gram, amplitudes).real.astype(float)
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
-        """The branches of one component as a GaussianPointer; exact-zero branches are dropped.
-
-        With no branch dropped, the pointer is a view on this meter and shares its kernel.
-        """
-        branches = [(c, d) for c, d in zip(row, self.centers) if c != 0.0]
-        if not branches:
+        """The branches of one component as a GaussianPointer: a view on this meter that shares its kernel."""
+        if not row.any():
             raise ValueError(f"component {label} carries no meter amplitude")
-        if len(branches) == self.dim:
-            return GaussianPointer._view(self, row)
-        return GaussianPointer(self.sigma, branches)
+        return GaussianPointer._view(self, row)
 
     def couple(self, amplitudes: np.ndarray, target: int, shift: float):
         """Displace the branches attached to one internal row by shift; the new (amplitudes, meter).
@@ -247,12 +244,6 @@ class GaussianPointer:
     def branches(self) -> tuple[tuple[complex, float], ...]:
         return tuple(zip(self.coefficients.tolist(), self.meter.centers))
 
-    def normalized(self) -> GaussianPointer:
-        norm_sq = gaussian_norm_sq(self)
-        if norm_sq < NORM_FLOOR:
-            raise ValueError("cannot normalize a degenerate pointer state")
-        return GaussianPointer._view(self.meter, self.coefficients * (1.0 / math.sqrt(norm_sq)))
-
     def to_json_dict(self) -> dict:
         return {
             "sigma": self.sigma,
@@ -283,7 +274,9 @@ def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
         raise ValueError("degenerate pointer state (vanishing norm)")
     mid = (p.centers[:, None] / 2.0 + p.centers[None, :] / 2.0).astype(_LD)
     mean = complex(_gram_forms(c, gram * mid, c)[0]) / den
-    second = complex(_gram_forms(c, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid), c)[0]) / den
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mid * mid is caught by the check below
+        second_kernel = gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)
+    second = complex(_gram_forms(c, second_kernel, c)[0]) / den
     if not (math.isfinite(mean.real) and math.isfinite(second.real - mean.real * mean.real)):
         raise ValueError("pointer moments overflow a double")
     scale = max(1.0, abs(mean.real), abs(second.real))
@@ -332,12 +325,6 @@ class GridPointer:
     def norm_sq(self) -> float:
         return float(np.trapezoid(np.abs(self.values) ** 2, self.xs))
 
-    def normalized(self) -> "GridPointer":
-        norm_sq = self.norm_sq()
-        if norm_sq < NORM_FLOOR:
-            raise ValueError("cannot normalize a degenerate grid state")
-        return GridPointer(self.xmin, self.xmax, self.n, self.values / math.sqrt(norm_sq))
-
 
 def evaluate_gaussian(p: GaussianPointer, xs: np.ndarray) -> np.ndarray:
     """Pointwise values sum_i c_i (2 pi sigma^2)^(-1/4) exp(-(x - d_i)^2 / (4 sigma^2))."""
@@ -371,8 +358,11 @@ def to_grid(
             f"window [{xmin}, {xmax}] too small; need to cover centers "
             f"[{lo}, {hi}] padded by {GRID_PADDING_SIGMAS} sigma"
         )
-    xs = np.linspace(xmin, xmax, n)
-    return GridPointer(xmin, xmax, n, evaluate_gaussian(p, xs)).normalized()
+    grid = GridPointer(xmin, xmax, n, evaluate_gaussian(p, np.linspace(xmin, xmax, n)))
+    norm_sq = grid.norm_sq()
+    if norm_sq < NORM_FLOOR:
+        raise ValueError("cannot normalize a degenerate grid state")
+    return GridPointer(xmin, xmax, n, grid.values / math.sqrt(norm_sq))
 
 
 def grid_moments(p: GridPointer) -> tuple[float, float]:

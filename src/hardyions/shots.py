@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .meter import NORM_FLOOR, GaussianPointer, gaussian_moments, gaussian_norm_sq, to_grid
-from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_experiment
+from .meter import GaussianPointer, gaussian_moments, to_grid
+# run_weak_gaussian is kept bound here, where the benchmark's tracer (bench/spans.py) wraps it.
+from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_experiment  # noqa: F401
 from .statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
 BATCH_SIZE = 1 << 17
@@ -48,9 +49,7 @@ def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray
     grid = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
     xs = grid.xs
     density = np.abs(grid.values) ** 2
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))]
-    )
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
     return cdf, xs
 
@@ -63,16 +62,6 @@ def _draw_pointer(rng: np.random.Generator, n: int, cdf: np.ndarray, xs: np.ndar
     samples = np.empty_like(uniforms)
     samples[order] = np.interp(uniforms[order], cdf, xs)
     return samples
-
-
-def sample_pointer(pointer: GaussianPointer, n: int, seed: int) -> np.ndarray:
-    """n independent draws from |phi_c(x)|^2; identical seeds give identical samples."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n = {n}")
-    if gaussian_norm_sq(pointer) < NORM_FLOOR:
-        raise ValueError("cannot sample from a degenerate pointer state")
-    cdf, xs = _inverse_cdf_table(pointer)
-    return _draw_pointer(np.random.default_rng(seed), n, cdf, xs)
 
 
 @dataclass(frozen=True)
@@ -178,26 +167,3 @@ def run_experiment_mc(
             yield BatchTotals(len(samples), size, float(np.sum(samples)), float(np.sum(samples * samples)))
 
     return merge_shot_totals(totals(), config.seed)
-
-
-def shots_required(a: float, sigma: float = 1.0, k_sigma: float = 3.0) -> int:
-    """Total experiments needed to resolve the conditional mean at k_sigma significance.
-
-    Smallest accepted-shot count n with k_sigma * std / sqrt(n) <= |mean|,
-    divided by the post-selection probability. Raises at the sign-change
-    threshold, where the signal vanishes.
-    """
-    if a <= 0.0:
-        raise ValueError(f"need a positive displacement, got a = {a}")
-    if k_sigma <= 0.0:
-        raise ValueError(f"need a positive significance level, got {k_sigma}")
-    report = run_weak_gaussian(a, sigma)
-    mean = report.closed_form_mean
-    std = math.sqrt(report.pointer_variance)
-    if abs(mean) <= 1e-12 * std:
-        raise ValueError(
-            f"unresolvable: the conditional mean vanishes at a = {a} "
-            f"(sign-change threshold a = sigma * sqrt(8 ln 2))"
-        )
-    n_accepted = math.ceil((k_sigma * std / abs(mean)) ** 2)
-    return math.ceil(n_accepted / report.postselection_probability)

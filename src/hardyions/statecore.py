@@ -115,10 +115,9 @@ def internal_probabilities(state: SystemState) -> dict[str, float]:
 
 
 def pointer_component(state: SystemState, target: str):
-    """The meter state attached to one internal component, named by its label.
+    """The meter's readout of the component of one internal label ('gg' ... 'ff').
 
-    The meter reads it out: a GaussianPointer (exact-zero branches dropped)
-    or a QubitPointer.
+    A GaussianPointer is a view on the state's meter; a QubitPointer holds the two amplitudes.
     """
     row = state.amplitudes[BASIS_LABELS.index(target)]
     return state.meter.pointer(row, target)

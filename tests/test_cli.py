@@ -426,6 +426,20 @@ class TestPlumbing:
         code, _, _ = run_cli(capsys, "weak", "--config", str(config))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("weak", "a", "abc", "could not convert string to float: 'abc'"),
+            ("mc", "shots", "1e6", "invalid literal for int() with base 10: '1e6'"),
+        ],
+    )
+    def test_unparsable_config_value_names_file_line_and_key(self, capsys, tmp_path, command, key, value, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# run\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}:2: {key}: {message}\n"
+
     def test_invariant_violation_exits_4(self, capsys, monkeypatch):
         from hardyions import cli
         from hardyions.errors import InvariantError

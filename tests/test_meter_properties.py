@@ -13,16 +13,21 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
 @st.composite
 def populated_states(draw):
-    """A 9 x M Gaussian-metered state (1-4 distinct centers) and a row with no zero amplitude."""
+    """A 9 x M Gaussian-metered state (1-4 distinct centers) with some exact-zero amplitudes,
+    and a row with at least one nonzero amplitude."""
     sigma = draw(st.floats(0.05, 20.0))
     m = draw(st.integers(1, 4))
     offsets = draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m, unique=True))
     n = N_INTERNAL * m
-    moduli = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
-    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
-    amplitudes = (moduli * np.exp(1j * phases)).reshape(N_INTERNAL, m)
+    modulus = st.floats(0.01, 3.0)
+    moduli = np.array(draw(st.lists(st.just(0.0) | modulus, min_size=n, max_size=n))).reshape(N_INTERNAL, m)
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))).reshape(N_INTERNAL, m)
+    label = draw(st.sampled_from(BASIS_LABELS))
+    row = BASIS_LABELS.index(label)
+    if not moduli[row].any():
+        moduli[row, draw(st.integers(0, m - 1))] = draw(modulus)
     meter = GaussianMeter(sigma, tuple(sigma * d for d in offsets))
-    return SystemState(amplitudes, meter), draw(st.sampled_from(BASIS_LABELS))
+    return SystemState(moduli * np.exp(1j * phases), meter), label
 
 
 def moments_or_error(pointer):
@@ -60,3 +65,15 @@ def test_view_moments_equal_those_of_a_built_pointer(case):
     branches = [(complex(c), d) for c, d in zip(row, state.meter.centers)]
     built = GaussianPointer(state.meter.sigma, branches)
     assert moments_or_error(pointer_component(state, label)) == moments_or_error(built)
+
+
+@PROPERTY_SETTINGS
+@given(populated_states())
+def test_zero_branches_change_no_bit_of_the_readout(case):
+    # the view keeps the branches with coefficient 0; a pointer without them has the same norm and moments
+    state, label = case
+    row = state.amplitudes[BASIS_LABELS.index(label)]
+    nonzero = GaussianPointer(state.meter.sigma, [(c, d) for c, d in zip(row, state.meter.centers) if c != 0])
+    view = pointer_component(state, label)
+    assert gaussian_norm_sq(view) == gaussian_norm_sq(nonzero)
+    assert moments_or_error(view) == moments_or_error(nonzero)

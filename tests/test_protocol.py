@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from hardyions.errors import InvariantError
 from hardyions.meter import (
     GaussianPointer,
     evaluate_gaussian,
+    gauss_kernel,
     gaussian_mean_x,
     grid_moments,
     to_grid,
@@ -252,6 +254,17 @@ class TestWeakGaussian:
         with pytest.raises(ValueError, match="overflow a double"):
             run_weak_gaussian(1.7e308)
 
+    def test_overflow_in_double_precision_rejected_without_warnings(self, double_precision):
+        # where longdouble is a double, d * d and mid * mid overflow at a = 1e200: the overlap
+        # exp(-inf) = 0 is exact, and the moment check reports the overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert gauss_kernel(1e200, 1.0) == 0.0
+            with pytest.raises(ValueError, match="overflow a double"):
+                run_weak_gaussian(1e200)
+            with pytest.raises(ValueError, match="overflow a double"):
+                prepare_experiment(RunConfig(a=1e200))
+
     def test_negative_displacement_rejected(self):
         with pytest.raises(ValueError):
             run_weak_gaussian(-0.1)
@@ -320,7 +333,7 @@ class TestWeakLimit:
     def test_against_grid_oracle(self):
         # sample both wavefunctions and integrate the squared difference
         a, sigma = 0.05, 1.0
-        pointer = run_weak_gaussian(a, sigma).conditional_pointer.normalized()
+        pointer = run_weak_gaussian(a, sigma).conditional_pointer  # already normalized
         xs = np.linspace(-10.0, 10.0, 8192)
         conditional = evaluate_gaussian(pointer, xs)
         target = evaluate_gaussian(GaussianPointer(sigma, ((-1.0, a),)), xs)

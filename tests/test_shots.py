@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hardyions import shots
-from hardyions.meter import GaussianPointer
 from hardyions.protocol import (
     RunConfig,
     closed_form_mean,
@@ -20,8 +20,6 @@ from hardyions.shots import (
     merge_shot_totals,
     prepare_experiment,
     run_experiment_mc,
-    sample_pointer,
-    shots_required,
 )
 from hardyions.statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
@@ -46,48 +44,41 @@ def choice_reference_draw(config, batch_index, size):
     return outcomes, np.interp(rng.random(accepted), prepared.cdf, prepared.xs)
 
 
-def ground_pointer(sigma=1.0):
-    return GaussianPointer(sigma, ((1.0, 0.0),))
+def pointer_samples(a, n, seed):
+    """n pointer samples of the weak experiment at a: one batch of n shots, every shot accepted."""
+    prepared = replace(prepare_experiment(RunConfig(a=a, seed=seed)), accept_below=1.0)
+    accepted, samples = draw_batch(prepared, 0, n)
+    assert accepted.all() and len(samples) == n
+    return samples
 
 
 class TestSamplePointer:
     def test_deterministic_per_seed(self):
-        pointer = run_weak_gaussian(0.1).conditional_pointer
-        first = sample_pointer(pointer, 1000, seed=42)
-        second = sample_pointer(pointer, 1000, seed=42)
-        np.testing.assert_array_equal(first, second)
-        assert not np.array_equal(first, sample_pointer(pointer, 1000, seed=43))
+        first = pointer_samples(0.1, 1000, seed=42)
+        np.testing.assert_array_equal(first, pointer_samples(0.1, 1000, seed=42))
+        assert not np.array_equal(first, pointer_samples(0.1, 1000, seed=43))
 
     def test_ground_state_mean(self):
+        # at a = 0 the conditional pointer is the ground state: mean 0, variance sigma^2
         n = 100_000
-        samples = sample_pointer(ground_pointer(), n, seed=5)
+        samples = pointer_samples(0.0, n, seed=5)
         assert abs(samples.mean()) <= 4.0 / math.sqrt(n)
-        assert samples.std(ddof=1) == pytest.approx(1.0, rel=0.02)
+        assert samples.var(ddof=1) == pytest.approx(run_weak_gaussian(0.0).pointer_variance, rel=0.04)
 
     def test_conditional_state_mean_matches_closed_form(self):
         a = 0.1
         n = 1_000_000
-        pointer = run_weak_gaussian(a).conditional_pointer
-        samples = sample_pointer(pointer, n, seed=9)
+        samples = pointer_samples(a, n, seed=9)
         std_error = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - closed_form_mean(a)) <= 5.0 * std_error
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError):
-            sample_pointer(ground_pointer(), 0, seed=1)
-
-    def test_degenerate_state_rejected(self):
-        degenerate = GaussianPointer(1.0, ((1e-9, 0.0),))
-        with pytest.raises(ValueError, match="degenerate"):
-            sample_pointer(degenerate, 10, seed=1)
+        assert samples.var(ddof=1) == pytest.approx(run_weak_gaussian(a).pointer_variance, rel=0.01)
 
     def test_standard_error_scaling(self):
         # the estimator converges at the 1/sqrt(n) rate
-        pointer = run_weak_gaussian(0.1).conditional_pointer
         ns = [1_000, 10_000, 100_000, 1_000_000]
         errors = []
         for i, n in enumerate(ns):
-            samples = sample_pointer(pointer, n, seed=100 + i)
+            samples = pointer_samples(0.1, n, seed=100 + i)
             errors.append(samples.std(ddof=1) / math.sqrt(n))
         slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
@@ -144,6 +135,20 @@ class TestRunExperiment:
         assert result.sample_mean == pytest.approx(samples.mean(), rel=1e-12)
         assert result == run_experiment_mc(config)
 
+    def test_json_round_trip(self):
+        result = run_experiment_mc(RunConfig(a=0.05, shots=1_000, seed=4))
+        data = result.to_json_dict()
+        assert data["accepted"] == result.accepted
+        assert data["seed"] == 4
+        assert set(data) == {
+            "accepted",
+            "total",
+            "sample_mean",
+            "std_error",
+            "seed",
+            "std_error_reliable",
+        }
+
 
 class TestStreamPinning:
     @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
@@ -183,11 +188,10 @@ class TestStreamPinning:
         assert prepare_experiment(RunConfig(a, sigma)).accept_below.hex() == threshold
 
     def test_sample_pointer_matches_plain_interp(self):
-        pointer = run_weak_gaussian(0.3).conditional_pointer
-        cdf, xs = shots._inverse_cdf_table(pointer)
+        cdf, xs = shots._inverse_cdf_table(run_weak_gaussian(0.3).conditional_pointer)
         for n in (1, 100, SAMPLING_GRID_POINTS, 50_000):
             expected = np.interp(np.random.default_rng(8).random(n), cdf, xs)
-            assert sample_pointer(pointer, n, seed=8).tobytes() == expected.tobytes()
+            assert shots._draw_pointer(np.random.default_rng(8), n, cdf, xs).tobytes() == expected.tobytes()
 
 
 class TestBatching:
@@ -262,39 +266,3 @@ class TestBatching:
         assert merged.accepted == 0
         assert merged.sample_mean is None
 
-
-class TestShotsRequired:
-    def test_pinned_value(self):
-        # frozen from the first evaluation of the defining formula
-        assert shots_required(0.1, 1.0, 3.0) == 14409
-
-    def test_monotone_in_displacement(self):
-        values = [shots_required(aos, 1.0, 3.0) for aos in (0.05, 0.1, 0.2, 0.4, 0.8)]
-        assert values == sorted(values, reverse=True)
-
-    def test_scale_invariance(self):
-        assert shots_required(0.1, 1.0, 3.0) == shots_required(0.05, 0.5, 3.0)
-
-    def test_threshold_is_unresolvable(self):
-        with pytest.raises(ValueError, match="unresolvable"):
-            shots_required(math.sqrt(8.0 * math.log(2.0)), 1.0, 3.0)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            shots_required(0.0, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            shots_required(0.1, 1.0, 0.0)
-
-    def test_json_round_trip(self):
-        result = run_experiment_mc(RunConfig(a=0.05, shots=1_000, seed=4))
-        data = result.to_json_dict()
-        assert data["accepted"] == result.accepted
-        assert data["seed"] == 4
-        assert set(data) == {
-            "accepted",
-            "total",
-            "sample_mean",
-            "std_error",
-            "seed",
-            "std_error_reliable",
-        }

@@ -239,8 +239,10 @@ class TestPointerComponent:
         pointer = pointer_component(state, "gg")
         assert pointer.sigma == 0.9
         assert pointer.branches == ((0.5 + 0j, 0.0), (0.25 + 0j, -0.4))
-        # exact-zero branches are dropped
-        assert pointer_component(state, "ee").branches == ((0.8 + 0j, 0.0),)
+        # a branch the component does not reach stays in the view, with coefficient 0
+        ee = pointer_component(state, "ee")
+        assert ee.meter is meter
+        assert ee.branches == ((0.8 + 0j, 0.0), (0j, -0.4))
 
     def test_qubit_component(self):
         state = init_ground(QubitMeter())
