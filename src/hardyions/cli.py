@@ -173,25 +173,13 @@ def _cmd_scan(args, opts):
     if not 0.0 < args.min < args.max:
         raise ValueError(f"need 0 < min < max, got [{args.min}, {args.max}]")
     sigma = opts["sigma"]
-    rows = []
-    for i in range(args.steps):
-        aos = args.min + (args.max - args.min) * i / (args.steps - 1)
-        a = aos * sigma
-        report = run_weak_gaussian(a, sigma)
-        rows.append(
-            {
-                "a_over_sigma": aos,
-                "mean_over_a": report.pointer_mean / a,
-                "closed_form_over_a": report.closed_form_mean / a,
-                "probability": report.postselection_probability,
-            }
-        )
-    lines = ["a_over_sigma,mean_over_a,closed_form_over_a,probability"]
-    for row in rows:
-        lines.append(
-            f"{row['a_over_sigma']!r},{row['mean_over_a']!r},"
-            f"{row['closed_form_over_a']!r},{row['probability']!r}"
-        )
+    ratios = [args.min + (args.max - args.min) * i / (args.steps - 1) for i in range(args.steps)]
+    lengths = [aos * sigma for aos in ratios]
+    report = run_weak_gaussian(np.array(lengths), sigma)
+    columns = (ratios, lengths, report.pointer_mean, report.closed_form_mean, report.postselection_probability)
+    rows = [{"a_over_sigma": aos, "mean_over_a": mean / a, "closed_form_over_a": closed / a, "probability": p}
+            for aos, a, mean, closed, p in zip(*columns)]
+    lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
     return rows, "\n".join(lines) + "\n", EXIT_OK
 
 

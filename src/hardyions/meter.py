@@ -5,13 +5,14 @@ the norm of each of the nine internal outcomes), its readout (pointer) and,
 for the meters a pulse couples to, that coupling (couple returns the new
 amplitudes and meter). This module alone knows the Gaussian branch
 representation: the Gram kernel, the one contraction that computes every
-quadratic form over it (outcome tables, pointer norms, overlaps and
-moments), the light-shift displacement and the readout. A GaussianPointer
-is a view on a GaussianMeter and one coefficient per center. A pointer read
-from a state is always a view on that state's meter, with one coefficient
-per branch (zero where the component has no amplitude), so it shares the
-meter's cached kernel. A sampled position grid serves as an independent
-numerical oracle, and a two-level pointer reads out the third-ion scheme.
+quadratic form over it, the light-shift displacement and the readout. A
+GaussianMeter holds one set of centers, shape (M,), or a batch of sets,
+shape (B, M), with one sigma and one branch layout; kernels, forms and
+moments carry the batch axis, and one set runs the same lines. A
+GaussianPointer is a view on a GaussianMeter and one coefficient per center;
+read from a state, it shares the state's meter and cached kernel. A sampled
+position grid serves as an independent numerical oracle, and a two-level
+pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -52,18 +53,18 @@ def gauss_kernel(delta, sigma: float):
 
 
 def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """conj(bra[i]) . kernel . ket[i] for each row i, in the kernel's precision."""
-    return np.einsum("im,mn,in->i", np.conj(bra), kernel, ket)
+    """conj(bra[i]) . kernel . ket[i] for each row i, in the kernel's precision; leading axes broadcast."""
+    return np.einsum("...im,...mn,...in->...i", np.conj(bra), kernel, ket)
 
 
 def gram_matrix(sigma: float, centers) -> np.ndarray:
-    """Gram matrix G[i, j] = <phi_{d_i}|phi_{d_j}> for equal-width branches."""
+    """Gram matrix G[..., i, j] = <phi_{d_i}|phi_{d_j}> of each set of equal-width branches."""
     d = np.asarray(centers, dtype=float)
-    return gauss_kernel(d[:, None] - d[None, :], sigma)
+    return gauss_kernel(d[..., :, None] - d[..., None, :], sigma)
 
 
 def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
-    """Overlaps between two branch sets sharing the same width."""
+    """Overlaps between two branch sets sharing the same width (kept where bench/spans.py wraps it)."""
     db = np.asarray(centers_bra, dtype=float)
     dk = np.asarray(centers_ket, dtype=float)
     return gauss_kernel(db[:, None] - dk[None, :], sigma)
@@ -94,27 +95,34 @@ class NoMeter(_EuclideanMetric):
         raise ValueError("state has no meter attached")
 
 
+def _frozen(values: list) -> tuple:
+    """A non-empty list of floats, or of such lists, as nested tuples."""
+    return tuple(map(_frozen, values)) if isinstance(values[0], list) else tuple(values)
+
+
 @dataclass(frozen=True)
 class GaussianMeter:
-    """Meter space spanned by width-sigma Gaussians at the listed centers."""
+    """Meter space spanned by width-sigma Gaussians at the listed centers.
+
+    centers is one tuple of M = dim centers or a batch of B such tuples;
+    points holds them as a read-only (M,) or (B, M) array.
+    """
 
     sigma: float
-    centers: tuple[float, ...] = (0.0,)
+    centers: tuple = (0.0,)
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
-        centers = tuple(float(d) for d in self.centers)
-        if not centers:
-            raise ValueError("need at least one branch center")
-        if not all(math.isfinite(d) for d in centers):
+        points = np.array(self.centers, dtype=float)
+        if points.ndim not in (1, 2) or not points.size:
+            raise ValueError("need at least one branch center, in one set or a batch of sets")
+        if not all(map(math.isfinite, points.ravel().tolist())):
             raise ValueError("non-finite branch center")
+        points.flags.writeable = False
         object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "centers", centers)
-
-    @property
-    def dim(self) -> int:
-        return len(self.centers)
+        object.__setattr__(self, "centers", _frozen(points.tolist()))
+        self.__dict__.update(points=points, dim=points.shape[-1])  # derived from centers, not fields
 
     def fiducial(self) -> np.ndarray:
         amps = np.zeros(self.dim, dtype=complex)
@@ -123,14 +131,14 @@ class GaussianMeter:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The Gram kernel of the centers, built once per meter (read-only)."""
+        """The Gram kernel of the centers, shape (..., M, M), built once per meter (read-only)."""
         kernel = gram_matrix(self.sigma, self.centers)
         kernel.flags.writeable = False
         return kernel
 
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Gram-kernel quadratic form of each internal row."""
-        return _gram_forms(amplitudes, self.gram, amplitudes).real.astype(float)
+        """Gram-kernel quadratic form of each internal row, shape (..., 9); rounding below 0 reads 0."""
+        return np.maximum(_gram_forms(amplitudes, self.gram, amplitudes).real.astype(float), 0.0)
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
         """The branches of one component as a GaussianPointer: a view on this meter that shares its kernel."""
@@ -138,33 +146,34 @@ class GaussianMeter:
             raise ValueError(f"component {label} carries no meter amplitude")
         return GaussianPointer._view(self, row)
 
-    def couple(self, amplitudes: np.ndarray, target: int, shift: float):
+    def couple(self, amplitudes: np.ndarray, target: int, shift):
         """Displace the branches attached to one internal row by shift; the new (amplitudes, meter).
 
         A finite set of branch centers is not closed under translation, so
         this coupling has no finite square matrix; it acts by moving centers.
         It is nevertheless exactly norm-preserving, because the Gram kernel
-        depends only on center differences.
+        depends only on center differences. A branch that lands on a center
+        merges with it. A batch shift moves each center set by its own amount
+        and the sets share the amplitudes, so they must merge the same
+        branches: mixing zero and nonzero shifts raises ValueError.
         """
-        centers = list(self.centers)
-        old_dim = len(centers)
-        moves = []
-        for col, amp in enumerate(amplitudes[target]):
-            if amp == 0.0:
-                continue
-            dest = centers[col] + shift
-            try:
-                j = centers.index(dest)
-            except ValueError:
-                centers.append(dest)
-                j = len(centers) - 1
-            moves.append((j, amp))
-        amps = np.zeros((len(amplitudes), len(centers)), dtype=complex)
-        amps[:, :old_dim] = amplitudes
+        dim = self.dim
+        moved = amplitudes[target].nonzero()[0]
+        dest = self.points[..., moved] + np.asarray(shift)[..., None]
+        joint = np.empty(dest.shape[:-1] + (dim + len(moved),))  # the centers, then the destinations
+        joint[..., :dim], joint[..., dim:] = self.points, dest
+        # the branch layout, each center's first equal center, must be the same in every set
+        layouts = {tuple(map(s.index, s)) for s in joint.reshape(-1, joint.shape[-1]).tolist()}
+        if len(layouts) > 1:
+            raise ValueError("center sets of a batch must merge the same branches; zero and nonzero shifts do not")
+        (layout,) = layouts
+        keep = [*range(dim), *(j for j in range(dim, len(layout)) if layout[j] == j)]
+        amps = np.zeros((len(amplitudes), len(keep)), dtype=complex)
+        amps[:, :dim] = amplitudes
         amps[target, :] = 0.0
-        for j, amp in moves:
-            amps[target, j] += amp
-        return amps, GaussianMeter(self.sigma, tuple(centers))
+        for k, col in enumerate(moved.tolist()):
+            amps[target, keep.index(layout[dim + k])] += amplitudes[target, col]
+        return amps, GaussianMeter(self.sigma, joint[..., keep])
 
 
 @dataclass(frozen=True)
@@ -203,10 +212,10 @@ class GaussianPointer:
     """Superposition sum_i c_i phi_{d_i}(x) of displaced ground-state Gaussians.
 
     A view on the GaussianMeter that holds sigma, the centers d_i and their
-    Gram kernel, with one coefficient c_i per center (read-only).
+    Gram kernel, with one coefficient c_i per center (read-only; one row per
+    center set on a batched meter, where branches and the grid do not apply).
     GaussianPointer(sigma, branches) builds the meter from (coefficient,
-    center) pairs. The representation is exact: no truncation is involved
-    anywhere in the algebra below.
+    center) pairs. The representation is exact: no truncation is involved.
     """
 
     meter: GaussianMeter
@@ -234,11 +243,9 @@ class GaussianPointer:
     def sigma(self) -> float:
         return self.meter.sigma
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
-        centers = np.array(self.meter.centers)
-        centers.flags.writeable = False
-        return centers
+        return self.meter.points
 
     @cached_property
     def branches(self) -> tuple[tuple[complex, float], ...]:
@@ -251,38 +258,36 @@ class GaussianPointer:
         }
 
 
-def gaussian_overlap(p: GaussianPointer, q: GaussianPointer) -> complex:
-    """Inner product <p|q> = sum_ij conj(c_i) c'_j exp(-(d_i - d'_j)^2 / (8 sigma^2))."""
-    if p.sigma != q.sigma:
-        raise ValueError(
-            f"mixed-width overlap is not supported (sigma {p.sigma} vs {q.sigma})"
-        )
-    kernel = cross_gram(p.sigma, p.centers, q.centers)
-    return complex(_gram_forms(p.coefficients[None], kernel, q.coefficients[None])[0])
+def gaussian_norm_sq(p: GaussianPointer):
+    """<p|p>: a float, or a list over a batch pointer."""
+    return p.meter.row_norms_sq(p.coefficients[..., None, :])[..., 0].tolist()
 
 
-def gaussian_norm_sq(p: GaussianPointer) -> float:
-    return float(p.meter.row_norms_sq(p.coefficients[None])[0])
-
-
-def gaussian_moments(p: GaussianPointer) -> tuple[float, float]:
-    """Exact (<x>, <x^2>) of the normalized pointer from three Gram-kernel forms; ValueError on overflow."""
-    c = p.coefficients[None]
+def gaussian_moments(p: GaussianPointer):
+    """Exact (<x>, <x^2>) of the normalized pointer (lists over a batch); ValueError on overflow."""
+    c = p.coefficients[..., None, :]
     gram = p.meter.gram
-    den = complex(_gram_forms(c, gram, c)[0])
-    if den.real < NORM_FLOOR:
+    half = p.centers / 2.0
+    mid = (half[..., :, None] + half[..., None, :]).astype(_LD)
+    with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
+        kernels = np.array((gram, gram * mid, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)))
+        den, mean, second = _gram_forms(c, kernels, c)[..., 0].astype(complex)  # norm, <x>, <x^2> forms
+        # the forms over den as CPython divides complex numbers (numpy rounds differently); a
+        # Hermitian form's imaginary part is rounding-level, so CPython's |re| >= |im| branch applies
+        ratio = den.imag / den.real
+        scale = den.real + den.imag * ratio
+        mean, mean_imag = (mean.real + mean.imag * ratio) / scale, (mean.imag - mean.real * ratio) / scale
+        second, second_imag = (second.real + second.imag * ratio) / scale, (second.imag - second.real * ratio) / scale
+        variance = second - mean * mean
+    # count_nonzero is "any" for one pointer (numpy scalars) and a batch alike
+    if np.count_nonzero(den.real < NORM_FLOOR):
         raise ValueError("degenerate pointer state (vanishing norm)")
-    mid = (p.centers[:, None] / 2.0 + p.centers[None, :] / 2.0).astype(_LD)
-    mean = complex(_gram_forms(c, gram * mid, c)[0]) / den
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mid * mid is caught by the check below
-        second_kernel = gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)
-    second = complex(_gram_forms(c, second_kernel, c)[0]) / den
-    if not (math.isfinite(mean.real) and math.isfinite(second.real - mean.real * mean.real)):
+    if np.count_nonzero(~np.isfinite(variance)):
         raise ValueError("pointer moments overflow a double")
-    scale = max(1.0, abs(mean.real), abs(second.real))
-    if abs(mean.imag) > 1e-12 * scale or abs(second.imag) > 1e-12 * scale:
+    imag = np.maximum(abs(mean_imag), abs(second_imag))  # non-real: imag > 1e-12 max(1, |<x>|, |<x^2>|)
+    if np.count_nonzero((imag > 1e-12) & (imag > 1e-12 * abs(mean)) & (imag > 1e-12 * abs(second))):
         raise InvariantError("position moments came out non-real")
-    return mean.real, second.real
+    return mean.tolist(), second.tolist()
 
 
 def gaussian_mean_x(p: GaussianPointer) -> float:

@@ -8,7 +8,9 @@ PREPARE and RECOMBINE: none for the ideal run, a light shift or a
 third-ion rotation for the weak measurements. evolve folds apply_unitary
 over a sequence. PREPARE takes no parameter, so the state it leaves is
 evolved once per meter and kept (intermediate_state); every run, and the
-weak values of the intermediate projectors, evolve on from that state.
+weak values of the intermediate projectors, evolve on from that state. A
+light shift by an array of a is one batch run on the same lines: the
+amplitudes evolve once and only the meter's centers carry the batch.
 Without a coupling, post-selecting |gg> succeeds with probability 1/16.
 """
 
@@ -86,23 +88,21 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class WeakValueReport:
-    """Post-selected weak values plus the conditional pointer statistics."""
+    """Post-selected weak values plus the conditional pointer statistics (lists over a batch)."""
 
-    postselection_probability: float
+    postselection_probability: float | list[float]
     weak_values: dict[str, complex]
-    pointer_mean: float
-    closed_form_mean: float
-    pointer_variance: float
+    pointer_mean: float | list[float]
+    closed_form_mean: float | list[float]
+    pointer_variance: float | list[float]
     conditional_pointer: GaussianPointer | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(self.weak_values.values())
         if abs(total - 1.0) > 1e-12:
             raise InvariantError(f"weak values must sum to 1, got {total}")
-        if not 0.0 < self.postselection_probability <= 1.0:
-            raise InvariantError(
-                f"post-selection probability out of (0, 1]: {self.postselection_probability}"
-            )
+        if not all(0.0 < p <= 1.0 for p in np.asarray(self.postselection_probability).ravel().tolist()):
+            raise InvariantError(f"post-selection probability out of (0, 1]: {self.postselection_probability}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,8 +198,8 @@ class Experiment:
 IDEAL = Experiment(NoMeter(), ())
 
 
-def weak_gaussian_experiment(a: float, sigma: float = 1.0) -> Experiment:
-    """Relative-coordinate Gaussian meter, its |gg> branch displaced by -a."""
+def weak_gaussian_experiment(a, sigma: float = 1.0) -> Experiment:
+    """Relative-coordinate Gaussian meter, its |gg> branch displaced by -a (each a of an array: a batch)."""
     return Experiment(GaussianMeter(sigma), (light_shift_meter(a),))
 
 
@@ -250,27 +250,30 @@ def _evolved_weak_values() -> dict[str, complex]:
 _WEAK_VALUES = _evolved_weak_values()
 
 
-def closed_form_mean(a: float, sigma: float = 1.0) -> float:
+def closed_form_mean(a, sigma: float = 1.0):
     """Conditional pointer mean -a (1 - 2 g) / (5 - 4 g), g = exp(-a^2 / 8 sigma^2).
 
     Positive (equal to +a) for small a, zero at a^2 = 8 ln(2) sigma^2,
-    negative beyond.
+    negative beyond. A float, or a list for an array of a.
     """
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     g = meter_mod.gauss_kernel(a, sigma)  # the quotient inherits the kernel's precision
-    return float(-a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g))
+    return np.asarray(-a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g), dtype=float).tolist()
 
 
-def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
+def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
     """Weak measurement of the |gg> population via the light-shift meter.
 
     Post-selects |gg> and reports the conditional pointer, which is
     proportional to phi(x + a) - 2 phi(x): coefficients (1, -2) on centers
-    (-a, 0) up to normalization.
+    (-a, 0) up to normalization. An array of a (all zero or all positive)
+    is one batch run: the amplitudes evolve once, each a moves its own
+    center set, and every report field but the weak values is a list.
     """
-    if a < 0.0 or not math.isfinite(a):
-        raise ValueError(f"a must be a non-negative finite length, got {a}")
+    a = np.asarray(a, dtype=float)
+    if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:
+        raise ValueError(f"a must be a non-negative finite length, got {bad[0]}")
     _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
     mean, second = gaussian_moments(pointer)
     return WeakValueReport(
@@ -278,7 +281,7 @@ def run_weak_gaussian(a: float, sigma: float = 1.0) -> WeakValueReport:
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
         closed_form_mean=closed_form_mean(a, sigma),
-        pointer_variance=second - mean * mean,
+        pointer_variance=(np.asarray(second) - np.square(mean)).tolist(),
         conditional_pointer=pointer,
     )
 
@@ -291,11 +294,8 @@ def weak_limit_check(a: float, sigma: float = 1.0) -> float:
     """
     g = float(meter_mod.gauss_kernel(a, sigma))
     norm = 1.0 / math.sqrt(5.0 - 4.0 * g)
-    difference = GaussianPointer(
-        sigma,
-        ((norm, -a), (-2.0 * norm, 0.0), (1.0, a)),
-    )
-    return math.sqrt(max(meter_mod.gaussian_norm_sq(difference), 0.0))
+    difference = GaussianPointer(sigma, ((norm, -a), (-2.0 * norm, 0.0), (1.0, a)))
+    return math.sqrt(meter_mod.gaussian_norm_sq(difference))  # row norms are never negative
 
 
 def third_ion_excited_population(theta: float) -> float:

@@ -68,7 +68,7 @@ class CouplingPulseOp:
 
     label: str
     meter_type: type
-    action: np.ndarray | float
+    action: np.ndarray | float  # a rotation, or a displacement (one per center set of a batch)
     defect: float
 
     def __post_init__(self) -> None:
@@ -121,17 +121,18 @@ def annihilation_pulse() -> InternalPulseOp:
     return InternalPulseOp("annihilation_pulse", matrix)
 
 
-def light_shift_meter(a: float) -> CouplingPulseOp:
+def light_shift_meter(a) -> CouplingPulseOp:
     """Conditional light shift: displace the |gg> meter branches by -a.
 
     The adiabatic turn-on and wavepacket rescaling of the physical pulse
-    are compressed into the single displacement parameter a.
+    are compressed into the single displacement parameter a. An array of
+    a displaces each center set of a batch by its own amount.
     """
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError(f"displacement must be finite, got {a}")
+    a = np.asarray(a, dtype=float)
+    if not all(map(math.isfinite, a.ravel().tolist())):
+        raise ValueError(f"displacement must be finite, got {a.tolist()}")
     # exact by construction: every pairwise center difference is conserved
-    return CouplingPulseOp(f"light_shift(a={a})", GaussianMeter, -a, 0.0)
+    return CouplingPulseOp(f"light_shift(a={a.tolist()})", GaussianMeter, -a, 0.0)
 
 
 def partial_ccnot(theta: float) -> CouplingPulseOp:
@@ -172,17 +173,13 @@ class MeasurementInstrument:
 
     def measure(self, state: SystemState) -> list[MeasurementOutcome]:
         """Outcome probabilities and collapsed states for every group."""
-        row_norms = state.meter.row_norms_sq(state.amplitudes)
+        row_norms = state.row_norms
         outcomes = []
         for label, rows in self.groups:
             amps = np.zeros_like(state.amplitudes)
             amps[rows] = state.amplitudes[rows]
-            probability = max(float(row_norms[rows].sum()), 0.0)
-            collapsed = (
-                None
-                if probability < NORM_FLOOR
-                else SystemState(amps / math.sqrt(probability), state.meter)
-            )
+            probability = float(row_norms[rows].sum())  # row norms are never negative
+            collapsed = None if probability < NORM_FLOOR else SystemState(amps / math.sqrt(probability), state.meter)
             outcomes.append(MeasurementOutcome(label, probability, collapsed))
         return outcomes
 

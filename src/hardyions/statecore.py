@@ -4,19 +4,19 @@ Basis order per ion is (g, e, f), fixed. The two-ion internal index is
 ion-1 major: index = 3 * idx(ion1) + idx(ion2), so the nine internal
 labels run gg, ge, gf, eg, ee, ef, fg, fe, ff. Amplitudes are stored as a
 (9, M) complex array with the meter branch as the minor axis; M = 1 when
-no meter is attached.
+no meter is attached. On a batched Gaussian meter the amplitudes are shared
+or carry the leading batch axis, (B, 9, M), and the engine functions here
+broadcast over it; a state without one runs the same lines.
 
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
 module and are re-exported here. A state asks its meter for one metric,
-the nine per-outcome row norms: outcome probabilities are read off them
-without building a projected state, and the whole state's norm_sq is their
-sum. A Gaussian meter's Gram kernel never appears in this module. States are
-immutable, so each computes its norm once.
+the nine per-outcome row norms, and keeps them: outcome probabilities and
+projections read them, and the state's norm_sq is their sum. A Gaussian
+meter's Gram kernel never appears in this module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,27 +49,34 @@ class SystemState:
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex, order="C")  # always a private copy
         expected = (N_INTERNAL, self.meter.dim)
-        if amps.shape != expected:
-            raise ValueError(f"expected amplitudes of shape {expected}, got {amps.shape}")
+        if amps.shape[-2:] != expected or amps.ndim > 3:
+            raise ValueError(f"expected amplitudes of shape {expected}, or a batch of them, got {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitudes")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def norm_sq(self) -> float:
-        """Sum of the meter's row norms, computed on first use and kept with the state."""
-        if "_norm_sq" not in self.__dict__:
-            self.__dict__["_norm_sq"] = sum(self.meter.row_norms_sq(self.amplitudes).tolist())
-        return self.__dict__["_norm_sq"]
+    def row_norms(self) -> np.ndarray:
+        """The meter's norm of each internal row, shape (..., 9), kept with the state."""
+        if "_rows" not in self.__dict__:
+            self.__dict__["_rows"] = self.meter.row_norms_sq(self.amplitudes)
+        return self.__dict__["_rows"]
 
     @property
-    def norm(self) -> float:
-        return math.sqrt(max(self.norm_sq, 0.0))
+    def norm_sq(self):
+        """The row norms summed in order: a float, or an array over a batch."""
+        return np.add.accumulate(self.row_norms.T)[-1]
+
+    @property
+    def norm(self):
+        if "_norm" not in self.__dict__:  # kept: the next pulse's check reads it again as its input's norm
+            self.__dict__["_norm"] = np.sqrt(self.norm_sq)
+        return self.__dict__["_norm"]
 
     def normalized(self) -> "SystemState":
-        norm = self.norm
-        if norm * norm < NORM_FLOOR:
+        norm = np.asarray(self.norm)[..., None, None]
+        if (norm * norm < NORM_FLOOR).any():
             raise ValueError("cannot normalize a state with vanishing norm")
         return SystemState(self.amplitudes / norm, self.meter)
 
@@ -84,34 +91,35 @@ def init_ground(meter: MeterSpace | None = None) -> SystemState:
 
 
 def apply_unitary(state: SystemState, op: "PulseOp") -> SystemState:
-    """Apply a pulse, checking that the norm is preserved to 1e-12."""
+    """Apply a pulse, checking that the norm (of every element of a batch) is preserved to 1e-12."""
     out = op.apply(state)
-    drift = abs(out.norm - state.norm)
-    if drift > NORM_TOL * max(1.0, state.norm):
-        raise InvariantError(f"{op.label} changed the norm by {drift:.3e}")
+    before = state.norm
+    drift = abs(out.norm - before)
+    if np.count_nonzero((drift > NORM_TOL) & (drift > NORM_TOL * before)):  # drift > NORM_TOL * max(1, before)
+        worst = np.argmax(drift / np.maximum(before, 1.0))
+        at = f" in batch element {worst}" if np.ndim(drift) else ""
+        raise InvariantError(f"{op.label} changed the norm by {np.ravel(drift)[worst]:.3e}{at}")
     return out
 
 
-def project_internal(state: SystemState, target: str) -> tuple[float, SystemState]:
+def project_internal(state: SystemState, target: str):
     """Project onto one internal basis state, named by its label ('gg' ... 'ff').
 
-    Returns the outcome probability (meter metric included) and the
-    renormalized conditional state. Raises PostSelectionError when the
-    probability is below NORM_FLOOR.
+    Returns the outcome probability (meter metric included; a list over a batch) and the
+    renormalized conditional state; PostSelectionError when it is below NORM_FLOOR.
     """
     idx = BASIS_LABELS.index(target)
-    probability = internal_probabilities(state)[target]
-    if probability < NORM_FLOOR:
-        raise PostSelectionError(f"post-selection impossible: P({target}) = {probability:.3e}")
-    amps = np.zeros_like(state.amplitudes)
-    amps[idx] = state.amplitudes[idx] / math.sqrt(probability)
-    return probability, SystemState(amps, state.meter)
+    probability = state.row_norms.T[idx]
+    if np.count_nonzero(probability < NORM_FLOOR):
+        raise PostSelectionError(f"post-selection impossible: P({target}) = {np.min(probability):.3e}")
+    amps = np.zeros(probability.shape + state.amplitudes.shape[-2:], dtype=complex)
+    amps[..., idx, :] = state.amplitudes[..., idx, :] / np.sqrt(probability)[..., None]
+    return probability.tolist(), SystemState(amps, state.meter)
 
 
 def internal_probabilities(state: SystemState) -> dict[str, float]:
-    """Probability of each of the nine internal detection outcomes."""
-    rows = state.meter.row_norms_sq(state.amplitudes).tolist()
-    return {label: max(p, 0.0) for label, p in zip(BASIS_LABELS, rows)}
+    """Probability of each of the nine internal detection outcomes (lists over a batch)."""
+    return dict(zip(BASIS_LABELS, state.row_norms.T.tolist()))
 
 
 def pointer_component(state: SystemState, target: str):
@@ -119,7 +127,7 @@ def pointer_component(state: SystemState, target: str):
 
     A GaussianPointer is a view on the state's meter; a QubitPointer holds the two amplitudes.
     """
-    row = state.amplitudes[BASIS_LABELS.index(target)]
+    row = state.amplitudes[..., BASIS_LABELS.index(target), :]
     return state.meter.pointer(row, target)
 
 

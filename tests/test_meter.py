@@ -7,10 +7,10 @@ from hardyions.meter import (
     GaussianPointer,
     GridPointer,
     QubitPointer,
+    cross_gram,
     evaluate_gaussian,
     gaussian_mean_x,
     gaussian_norm_sq,
-    gaussian_overlap,
     gaussian_second_moment,
     grid_moments,
     to_grid,
@@ -44,13 +44,12 @@ def quadrature_moments(pointer, pad=10.0, n=8192):
 
 class TestOverlap:
     def test_identical_gaussians(self):
-        assert gaussian_overlap(single(0.0), single(0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert cross_gram(1.0, (0.0,), (0.0,))[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert gaussian_norm_sq(single(0.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_half_overlap_separation(self):
         a = HALF_OVERLAP_SEPARATION
-        value = gaussian_overlap(single(0.0), single(-a))
-        assert value.real == pytest.approx(0.5, abs=1e-12)
-        assert value.imag == 0.0
+        assert cross_gram(1.0, (0.0,), (-a,))[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_half_overlap_against_quadrature(self):
         a = HALF_OVERLAP_SEPARATION
@@ -62,10 +61,6 @@ class TestOverlap:
         a = 0.7
         expected = 5.0 - 4.0 * math.exp(-a * a / 8.0)
         assert gaussian_norm_sq(conditional_shape(a)) == pytest.approx(expected, rel=1e-14)
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mixed-width"):
-            gaussian_overlap(single(0.0, sigma=1.0), single(0.0, sigma=2.0))
 
 
 class TestGaussianMoments:

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyions import meter
-from hardyions.protocol import intermediate_state, run_third_ion, run_weak_gaussian, weak_values_postselected
+from hardyions.protocol import run_third_ion, run_weak_gaussian, weak_values_postselected
 
 pytest.importorskip("mpmath")
 
@@ -48,15 +47,6 @@ def assert_within_bound(errors: dict) -> None:
     worst = {name: max(values) for name, values in errors.items()}
     failing = {name: (f"{err / EPS:.1f} eps", x) for name, (err, x) in worst.items() if err > ERROR_BOUND}
     assert not failing, f"errors beyond {ERROR_BOUND / EPS:.0f} eps: {failing}"
-
-
-@pytest.fixture
-def double_precision(monkeypatch):
-    """The package with meter._LD, the one name that sets the extended precision, patched to float64."""
-    monkeypatch.setattr(meter, "_LD", np.float64)
-    intermediate_state.cache_clear()  # its states hold meters whose kernels were built in longdouble
-    yield
-    intermediate_state.cache_clear()
 
 
 def check_weak_gaussian_against_oracle():

@@ -301,6 +301,34 @@ class TestWeakGaussian:
         run_weak_gaussian(0.9)
         assert counts == {"kernel": 1, "apply": 3}
 
+    def test_one_engine_run_per_batch(self, monkeypatch, capsys):
+        # warm, 200 displacements cost the engine what one does: one kernel build (a stack of 200
+        # kernels) and the three pulses after the prefix; scan --steps 200 makes one such call
+        from hardyions import cli, meter, protocol
+
+        counts = {"kernel": 0, "apply": 0, "run": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(meter, "gram_matrix", counted(meter.gram_matrix, "kernel"))
+        monkeypatch.setattr(meter, "cross_gram", counted(meter.cross_gram, "kernel"))
+        monkeypatch.setattr(protocol, "apply_unitary", counted(protocol.apply_unitary, "apply"))
+        monkeypatch.setattr(cli, "run_weak_gaussian", counted(cli.run_weak_gaussian, "run"))
+        run_weak_gaussian(0.9)
+        counts.update(kernel=0, apply=0)
+        report = run_weak_gaussian(np.linspace(0.01, 5.0, 200))
+        assert counts == {"kernel": 1, "apply": 3, "run": 0}
+        assert len(report.pointer_mean) == 200
+        assert report.conditional_pointer.meter.gram.shape == (200, 2, 2)
+        assert cli.main(["scan", "--steps", "200"]) == 0
+        assert counts["run"] == 1
+        assert len(capsys.readouterr().out.splitlines()) == 201
+
 
 class TestClosedForm:
     def test_zero_displacement(self):

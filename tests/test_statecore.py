@@ -150,6 +150,26 @@ class TestApplyUnitary:
             with pytest.raises(InvariantError, match="changed the norm"):
                 apply_unitary(state, Doubling())
 
+    def test_batch_drift_names_the_worst_element(self):
+        # one unit amplitude on the center every set shares: each element has norm 1, and the
+        # patched pulse stretches element k by scale[k]
+        scale = np.array([1.0, 1.0 + 1e-6, 1.0 + 1e-3, 1.0 + 1e-9])
+
+        class Stretching:
+            label = "stretching"
+
+            def apply(self, state):
+                return SystemState(scale[:, None, None] * state.amplitudes, state.meter)
+
+        amps = np.zeros((N_INTERNAL, 2), dtype=complex)
+        amps[0, 0] = 1.0
+        state = SystemState(amps, GaussianMeter(1.0, [(0.0, -d) for d in (0.3, 0.5, 0.7, 0.9)]))
+        np.testing.assert_array_equal(state.norm, np.ones(4))
+        with pytest.raises(InvariantError, match=r"stretching changed the norm by 1\.000e-03 in batch element 2$"):
+            apply_unitary(state, Stretching())
+        scale = np.array([1.0, 1.0 + 1e-15, 1.0, 1.0 - 1e-15])  # every drift within NORM_TOL
+        assert apply_unitary(state, Stretching()).amplitudes.shape == (4, N_INTERNAL, 2)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SystemState(np.zeros((N_INTERNAL, 2)), NoMeter())
