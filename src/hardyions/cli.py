@@ -31,6 +31,8 @@ EXIT_USAGE = 2
 EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 4
 
+MAX_SCAN_STEPS = 100_000  # a scan holds every point at once, about 1.7 KB each
+
 _DEFAULTS = {**asdict(RunConfig()), "theta": 0.1}
 # The run parameters, each taken from its flag or a config key of the same name: (type, help).
 _PARAMS = {
@@ -170,11 +172,16 @@ def _cmd_weak(args, opts):
 def _cmd_scan(args, opts):
     if args.steps < 2:
         raise ValueError(f"need at least 2 scan steps, got {args.steps}")
+    if args.steps > MAX_SCAN_STEPS:
+        raise ValueError(f"need at most {MAX_SCAN_STEPS} scan steps, got {args.steps}")
     if not 0.0 < args.min < args.max:
         raise ValueError(f"need 0 < min < max, got [{args.min}, {args.max}]")
     sigma = opts["sigma"]
     ratios = [args.min + (args.max - args.min) * i / (args.steps - 1) for i in range(args.steps)]
     lengths = [aos * sigma for aos in ratios]
+    if 0.0 in lengths:  # each row divides by its length
+        aos = ratios[lengths.index(0.0)]
+        raise ValueError(f"a = a/sigma * sigma underflows to 0 at a/sigma = {aos!r}, sigma = {sigma!r}")
     report = run_weak_gaussian(np.array(lengths), sigma)
     columns = (ratios, lengths, report.pointer_mean, report.closed_form_mean, report.postselection_probability)
     rows = [{"a_over_sigma": aos, "mean_over_a": mean / a, "closed_form_over_a": closed / a, "probability": p}

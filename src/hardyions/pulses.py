@@ -129,10 +129,14 @@ def light_shift_meter(a) -> CouplingPulseOp:
     a displaces each center set of a batch by its own amount.
     """
     a = np.asarray(a, dtype=float)
+    if not a.size:
+        raise ValueError("need at least one displacement")
     if not all(map(math.isfinite, a.ravel().tolist())):
         raise ValueError(f"displacement must be finite, got {a.tolist()}")
+    # a batch is labelled by its size and end values: formatting every one costs more than the pulse
+    shown = a.tolist() if a.ndim == 0 else "[{} values: {!r} .. {!r}]".format(a.size, *a.flat[[0, -1]].tolist())
     # exact by construction: every pairwise center difference is conserved
-    return CouplingPulseOp(f"light_shift(a={a.tolist()})", GaussianMeter, -a, 0.0)
+    return CouplingPulseOp(f"light_shift(a={shown})", GaussianMeter, -a, 0.0)
 
 
 def partial_ccnot(theta: float) -> CouplingPulseOp:

@@ -3,16 +3,19 @@
 A shot is accepted (post-selected on |gg>) when its uniform is below P(gg),
 the uniform with which Generator.choice would pick one of the nine outcomes;
 accepted shots draw a pointer position from |phi_c(x)|^2 by inverse-CDF
-sampling on the grid oracle. Randomness comes from numpy's default generator
-(PCG64), seeded per batch from (seed, batch_index), so results are reproducible
-bit for bit and batches may be evaluated independently and merged in index order.
+sampling on the grid oracle. A guide table (Chen & Asau, AIIE Trans. 6, 163
+(1974)) finds each uniform's CDF interval without sorting, and the position
+is interpolated with np.interp's own arithmetic, so it equals np.interp bit
+for bit. Randomness comes from numpy's default generator (PCG64), seeded per
+batch from (seed, batch_index), so results are reproducible bit for bit and
+batches may be evaluated independently and merged in index order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +29,7 @@ MIN_RELIABLE_ACCEPTED = 30
 
 SAMPLING_GRID_POINTS = 4096
 SAMPLING_PADDING_SIGMAS = 8.0
+GUIDE_CELLS = 1 << 14  # guide-table cells; a power of two, so a key's cell is exact
 
 
 @dataclass(frozen=True)
@@ -54,24 +58,49 @@ def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray
     return cdf, xs
 
 
-def _draw_pointer(rng: np.random.Generator, n: int, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """np.interp(rng.random(n), cdf, xs) bit for bit, as each output depends only on its own
-    key; sorted keys hit interp's neighbour guess instead of a mispredicted binary search."""
-    uniforms = rng.random(n)
-    order = np.argsort(uniforms)
-    samples = np.empty_like(uniforms)
-    samples[order] = np.interp(uniforms[order], cdf, xs)
-    return samples
-
-
 @dataclass(frozen=True)
 class PreparedExperiment:
-    """Precomputed acceptance threshold and pointer CDF for one configuration."""
+    """Precomputed acceptance threshold and pointer CDF for one configuration.
+
+    The CDF's guide table: guide[k] is the last CDF index at or below
+    k / GUIDE_CELLS, so a key in cell k lies in interval guide[k] or the one
+    after it, unless the cell is wide. A wide cell holds more than one
+    breakpoint (the flat tails, and the repeated 1.0 at the top), and its
+    keys take a binary search.
+    """
 
     config: RunConfig
     accept_below: float
     cdf: np.ndarray
     xs: np.ndarray
+    slopes: np.ndarray = field(init=False)  # np.interp's slope on each CDF interval
+    guide: np.ndarray = field(init=False)
+    wide: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        with np.errstate(divide="ignore"):  # repeated CDF values give inf slopes, never gathered
+            slopes = np.diff(self.xs) / np.diff(self.cdf)
+        guide = np.searchsorted(self.cdf, np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS, side="right") - 1
+        self.__dict__.update(slopes=slopes, guide=guide[:-1], wide=np.diff(guide) > 1)
+
+    def pointer_samples(self, u: np.ndarray) -> np.ndarray:
+        """np.interp(u, cdf, xs) bit for bit, for keys u in [0, 1)."""
+        cell = (u * GUIDE_CELLS).astype(np.intp)  # exact: GUIDE_CELLS is a power of two
+        j = self.guide[cell]
+        j += self.cdf[1:][j] <= u
+        searched = np.flatnonzero(self.wide[cell])
+        j[searched] = np.searchsorted(self.cdf, u[searched], side="right") - 1
+        base = self.cdf[j]
+        at = self.xs[j]
+        samples = self.slopes[j] * (u - base) + at
+        np.copyto(samples, at, where=u == base)  # np.interp returns a hit breakpoint's own position
+        return samples
+
+
+def _draw_pointer(rng: np.random.Generator, n: int, prepared: PreparedExperiment) -> np.ndarray:
+    """np.interp(rng.random(n), prepared.cdf, prepared.xs) bit for bit, each key looked up in the
+    guide table: no sort and no binary search, except for keys in wide cells."""
+    return prepared.pointer_samples(rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -91,8 +120,7 @@ def prepare_experiment(config: RunConfig) -> PreparedExperiment:
     # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
     outcome_cdf = (probabilities / probabilities.sum()).cumsum()
     outcome_cdf /= outcome_cdf[-1]
-    cdf, xs = _inverse_cdf_table(pointer)
-    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), cdf, xs)
+    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer))
 
 
 class batch_plan(Sequence):
@@ -114,7 +142,7 @@ def draw_batch(
     """Acceptance mask and pointer samples (one per accepted shot) for one batch."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
     accepted = rng.random(size) < prepared.accept_below
-    return accepted, _draw_pointer(rng, int(np.count_nonzero(accepted)), prepared.cdf, prepared.xs)
+    return accepted, _draw_pointer(rng, int(np.count_nonzero(accepted)), prepared)
 
 
 def merge_shot_totals(totals, seed: int) -> ShotResult:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hardyions
-from hardyions import shots
+from hardyions import cli, shots
 from hardyions.cli import main
 from hardyions.protocol import RunConfig
 
@@ -128,6 +128,42 @@ class TestScan:
         assert code == 2
         code, _, _ = run_cli(capsys, "scan", "--min", "2.0", "--max", "1.0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [("1e-300", "2e-300"), ("1e-300", "1.0")],  # every point underflows; only the first does
+        ids=["all", "some"],
+    )
+    def test_underflowing_length_rejected(self, capsys, low, high):
+        code, out, err = run_cli(capsys, "scan", "--min", low, "--max", high, "--steps", "3", "--sigma", "1e-100")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a = a/sigma * sigma underflows to 0 at a/sigma = 1e-300, sigma = 1e-100\n"
+
+    def test_huge_step_count_rejected_before_allocating(self):
+        # a fresh interpreter capped at 1 GiB of address space: building 10^12 points would
+        # raise MemoryError there instead of exhausting the machine
+        env = {**os.environ, "PYTHONPATH": str(Path(hardyions.__file__).parents[1])}
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from hardyions.cli import main\n"
+            "sys.exit(main(['scan', '--steps', str(10**12)]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: need at most {cli.MAX_SCAN_STEPS} scan steps, got {10**12}\n"
+
+    def test_step_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_STEPS", 5)
+        code, out, _ = run_cli(capsys, "scan", "--steps", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        code, out, err = run_cli(capsys, "scan", "--steps", "6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at most 5 scan steps, got 6\n"
 
 
 class TestMonteCarlo:

@@ -15,6 +15,7 @@ from hardyions.meter import (
     grid_moments,
     to_grid,
 )
+from hardyions.protocol import weak_gaussian_experiment
 from hardyions.pulses import partial_ccnot
 from hardyions.statecore import GG_INDEX, N_INTERNAL, QubitMeter, SystemState, pointer_component
 
@@ -119,6 +120,12 @@ class TestGaussianMoments:
             assert quad >= -1e-12
             if np.linalg.norm(p.coefficients) > 1e-6:
                 assert quad > 0.0
+
+    def test_batch_kernel_in_c_order(self):
+        # a coupled meter's points are in Fortran order; the kernel built from them must not be
+        final = weak_gaussian_experiment(np.linspace(0.01, 5.0, 50), 1.0).run()[0]
+        assert not final.meter.points.flags.c_contiguous
+        assert final.meter.gram.flags.c_contiguous
 
 
 class TestGrid:

@@ -135,6 +135,13 @@ class TestLightShift:
         with pytest.raises(ValueError, match="GaussianMeter"):
             light_shift_meter(0.1).apply(init_ground(QubitMeter()))
 
+    def test_labels(self):
+        assert light_shift_meter(1.7).label == "light_shift(a=1.7)"
+        batch = light_shift_meter(np.linspace(0.01, 5.0, 200))
+        assert batch.label == "light_shift(a=[200 values: 0.01 .. 5.0])"
+        with pytest.raises(ValueError, match="at least one displacement"):
+            light_shift_meter([])
+
     def test_commutes_with_internal_unitary_fixing_gg(self):
         # the annihilation pulse does not mix gg with anything
         rng = np.random.default_rng(12)

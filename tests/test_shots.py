@@ -188,10 +188,11 @@ class TestStreamPinning:
         assert prepare_experiment(RunConfig(a, sigma)).accept_below.hex() == threshold
 
     def test_sample_pointer_matches_plain_interp(self):
-        cdf, xs = shots._inverse_cdf_table(run_weak_gaussian(0.3).conditional_pointer)
+        prepared = prepare_experiment(RunConfig(a=0.3))
+        cdf, xs = prepared.cdf, prepared.xs
         for n in (1, 100, SAMPLING_GRID_POINTS, 50_000):
             expected = np.interp(np.random.default_rng(8).random(n), cdf, xs)
-            assert shots._draw_pointer(np.random.default_rng(8), n, cdf, xs).tobytes() == expected.tobytes()
+            assert shots._draw_pointer(np.random.default_rng(8), n, prepared).tobytes() == expected.tobytes()
 
 
 class TestBatching:

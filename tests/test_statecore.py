@@ -244,7 +244,9 @@ class TestNormAndProjection:
         for state in [random_state(rng, meter) for _ in range(3)]:
             SystemState(state.amplitudes, meter).norm_sq
             meter.row_norms_sq(state.amplitudes)
-        assert builds == [(1.0, (0.0, -0.5))]
+        [(sigma, centers)] = builds
+        assert sigma == 1.0
+        np.testing.assert_array_equal(centers, (0.0, -0.5))
         np.testing.assert_array_equal(meter.gram, gram_matrix(1.0, (0.0, -0.5)))
         assert not meter.gram.flags.writeable
 
