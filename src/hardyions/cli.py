@@ -177,7 +177,8 @@ def _cmd_scan(args, opts):
     if not 0.0 < args.min < args.max:
         raise ValueError(f"need 0 < min < max, got [{args.min}, {args.max}]")
     sigma = opts["sigma"]
-    ratios = [args.min + (args.max - args.min) * i / (args.steps - 1) for i in range(args.steps)]
+    # halves, so that max - min cannot overflow; the same bits wherever the halves are normal
+    ratios = [args.min + 2.0 * ((args.max / 2.0 - args.min / 2.0) * i / (args.steps - 1)) for i in range(args.steps)]
     lengths = [aos * sigma for aos in ratios]
     if 0.0 in lengths:  # each row divides by its length
         aos = ratios[lengths.index(0.0)]

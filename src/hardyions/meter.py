@@ -59,9 +59,7 @@ def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndar
 
 def gram_matrix(sigma: float, centers) -> np.ndarray:
     """Gram matrix G[..., i, j] = <phi_{d_i}|phi_{d_j}> of each set of equal-width branches."""
-    # in C order: a coupled meter's points are in Fortran order, and the Gram contractions
-    # over a kernel in that layout take about 1.5x as long
-    d = np.ascontiguousarray(centers, dtype=float)
+    d = np.asarray(centers, dtype=float)
     return gauss_kernel(d[..., :, None] - d[..., None, :], sigma)
 
 
@@ -116,7 +114,8 @@ class GaussianMeter:
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
-        points = np.array(self.centers, dtype=float)
+        # couple passes a Fortran-order slice; the Gram contractions over a kernel in that layout run 1.5x slower
+        points = np.array(self.centers, dtype=float, order="C")
         if points.ndim not in (1, 2) or not points.size:
             raise ValueError("need at least one branch center, in one set or a batch of sets")
         if not all(map(math.isfinite, points.ravel().tolist())):

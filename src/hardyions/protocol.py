@@ -30,7 +30,6 @@ from .meter import NORM_FLOOR, GaussianPointer, gaussian_moments
 # Kept bound here, where the benchmark's tracer (bench/spans.py) wraps them.
 from .meter import gaussian_mean_x, gaussian_second_moment  # noqa: F401
 from .pulses import (
-    MeasurementInstrument,
     PulseOp,
     annihilation_pulse,
     beamsplitter,
@@ -335,25 +334,26 @@ def run_third_ion(theta: float) -> ThirdIonReport:
     )
 
 
-def run_strong_comparison(instrument: MeasurementInstrument | None = None) -> StrongComparisonReport:
-    """Final outcome tables with and without a projective measurement inserted.
+def run_strong_comparison() -> StrongComparisonReport:
+    """Final outcome tables with and without the projective |gg> measurement inserted.
 
-    The projective measurement (default: |gg> versus its complement) fires
-    between the annihilation pulse and the second beamsplitters; the
-    disturbed table sums the branch tables weighted by branch probability.
+    The measurement (strong_measurement: |gg> against the rest) fires
+    between the annihilation pulse and the second beamsplitters: each
+    branch projects the memoized intermediate state onto its rows, reads
+    its probability from the row norms the state keeps, and evolves the
+    collapsed state through RECOMBINE. The disturbed table sums the branch
+    tables weighted by branch probability.
     """
-    if instrument is None:
-        instrument = strong_measurement()
     undisturbed = run_ideal().probabilities
     psi = intermediate_state(NoMeter())
     branches = []
-    disturbed = {label: 0.0 for label in BASIS_LABELS}
-    for outcome in instrument.measure(psi):
-        if outcome.state is None:
-            branches.append(StrongBranch(outcome.label, outcome.probability, {}))
-            continue
-        table = internal_probabilities(evolve(outcome.state, RECOMBINE))
-        branches.append(StrongBranch(outcome.label, outcome.probability, table))
-        for label, value in table.items():
-            disturbed[label] += outcome.probability * value
+    disturbed = dict.fromkeys(BASIS_LABELS, 0.0)
+    for label, rows in strong_measurement():
+        probability = float(psi.row_norms[rows].sum())  # row norms are never negative
+        collapsed = np.zeros_like(psi.amplitudes)
+        collapsed[rows] = psi.amplitudes[rows] / math.sqrt(probability)
+        table = internal_probabilities(evolve(SystemState(collapsed, psi.meter), RECOMBINE))
+        branches.append(StrongBranch(label, probability, table))
+        for outcome, value in table.items():
+            disturbed[outcome] += probability * value
     return StrongComparisonReport(undisturbed, disturbed, tuple(branches))

@@ -4,10 +4,9 @@ Every constructor returns a PulseOp acting on the composite internal x
 meter space. Internal pulses are plain 9 x 9 unitaries (identity on the
 meter); a coupling pulse acts on the meter attached to |gg> and is carried
 out by the meter class: the light shift is an exact displacement of the
-Gaussian meter branches, and the partial C2-NOT rotates a qubit meter. A
-strong projective measurement is an instrument (probabilities plus
-collapsed states), not a PulseOp, and is therefore exempt from the
-unitarity check by type.
+Gaussian meter branches, and the partial C2-NOT rotates a qubit meter. The
+strong measurement of |gg> against the rest is not a PulseOp but data: its
+two groups of internal rows, onto which run_strong_comparison projects.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .meter import NORM_FLOOR, GaussianMeter, QubitMeter, qubit_rotation_matrix
+from .meter import GaussianMeter, QubitMeter, qubit_rotation_matrix
 from .statecore import BASIS_LABELS, GG_INDEX, N_INTERNAL, SystemState
 
 UNITARITY_TOL = 1e-12
@@ -155,41 +154,6 @@ def partial_ccnot(theta: float) -> CouplingPulseOp:
     )
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    label: str
-    probability: float
-    state: SystemState | None
-
-
-class MeasurementInstrument:
-    """Projective measurement onto groups of internal basis states.
-
-    groups is a list of (label, [internal labels]) pairs; every one of the
-    nine internal labels must fall in exactly one group.
-    """
-
-    def __init__(self, groups: list[tuple[str, list[str]]]):
-        groups = [(label, list(group)) for label, group in groups]
-        if sorted(i for _, group in groups for i in group) != sorted(BASIS_LABELS):
-            raise ValueError("projector set does not sum to the identity")
-        self.groups = [(label, [BASIS_LABELS.index(i) for i in group]) for label, group in groups]
-
-    def measure(self, state: SystemState) -> list[MeasurementOutcome]:
-        """Outcome probabilities and collapsed states for every group."""
-        row_norms = state.row_norms
-        outcomes = []
-        for label, rows in self.groups:
-            amps = np.zeros_like(state.amplitudes)
-            amps[rows] = state.amplitudes[rows]
-            probability = float(row_norms[rows].sum())  # row norms are never negative
-            collapsed = None if probability < NORM_FLOOR else SystemState(amps / math.sqrt(probability), state.meter)
-            outcomes.append(MeasurementOutcome(label, probability, collapsed))
-        return outcomes
-
-
-def strong_measurement(groups=None) -> MeasurementInstrument:
-    """Projective instrument over (label, [internal labels]) groups; default |gg> versus the rest."""
-    if groups is None:
-        groups = [("gg", ["gg"]), ("rest", [label for label in BASIS_LABELS if label != "gg"])]
-    return MeasurementInstrument(groups)
+def strong_measurement() -> tuple[tuple[str, list[int]], ...]:
+    """The projective measurement of |gg> against the rest: (label, internal rows) per outcome."""
+    return ("gg", [GG_INDEX]), ("rest", [i for i in range(N_INTERNAL) if i != GG_INDEX])

@@ -97,12 +97,6 @@ class PreparedExperiment:
         return samples
 
 
-def _draw_pointer(rng: np.random.Generator, n: int, prepared: PreparedExperiment) -> np.ndarray:
-    """np.interp(rng.random(n), prepared.cdf, prepared.xs) bit for bit, each key looked up in the
-    guide table: no sort and no binary search, except for keys in wide cells."""
-    return prepared.pointer_samples(rng.random(n))
-
-
 @dataclass(frozen=True)
 class BatchTotals:
     accepted: int
@@ -142,7 +136,7 @@ def draw_batch(
     """Acceptance mask and pointer samples (one per accepted shot) for one batch."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
     accepted = rng.random(size) < prepared.accept_below
-    return accepted, _draw_pointer(rng, int(np.count_nonzero(accepted)), prepared)
+    return accepted, prepared.pointer_samples(rng.random(int(np.count_nonzero(accepted))))
 
 
 def merge_shot_totals(totals, seed: int) -> ShotResult:

@@ -140,6 +140,14 @@ class TestScan:
         assert out == ""
         assert err == "error: a = a/sigma * sigma underflows to 0 at a/sigma = 1e-300, sigma = 1e-100\n"
 
+    def test_range_near_the_largest_double_does_not_overflow(self, capsys):
+        # max - min overflows a double here, though every point of the range is finite
+        code, out, err = run_cli(capsys, "scan", "--min", "1", "--max", "1e308", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert "inf" not in err
+        assert err == "error: pointer moments overflow a double\n"
+
     def test_huge_step_count_rejected_before_allocating(self):
         # a fresh interpreter capped at 1 GiB of address space: building 10^12 points would
         # raise MemoryError there instead of exhausting the machine

@@ -35,7 +35,7 @@ from hardyions.protocol import (
     weak_limit_check,
     weak_values_postselected,
 )
-from hardyions.pulses import beamsplitter, strong_measurement
+from hardyions.pulses import beamsplitter
 from hardyions.shots import prepare_experiment
 from hardyions.statecore import (
     BASIS_LABELS,
@@ -439,12 +439,22 @@ class TestStrongComparison:
         assert table["gg"] == pytest.approx(0.25, abs=1e-12)
         assert table["rest"] == pytest.approx(0.75, abs=1e-12)
 
-    def test_custom_projector_set(self):
-        instrument = strong_measurement(
-            [("ge", ["ge"]), ("rest", [l for l in BASIS_LABELS if l != "ge"])]
-        )
-        report = run_strong_comparison(instrument)
-        assert sum(report.disturbed.values()) == pytest.approx(1.0, abs=1e-12)
+    def test_branch_tables_are_normalized(self):
+        for branch in run_strong_comparison().branches:
+            assert abs(sum(branch.probabilities.values()) - 1.0) < 1e-12
+
+    def test_measurement_disturbs_every_branch(self):
+        report = run_strong_comparison()
+        for branch in report.branches:
+            assert max(abs(branch.probabilities[k] - report.undisturbed[k]) for k in BASIS_LABELS) > 1e-3
+
+    def test_disturbed_is_the_weighted_sum_of_branches(self):
+        report = run_strong_comparison()
+        expected = dict.fromkeys(BASIS_LABELS, 0.0)
+        for branch in report.branches:  # in branch order, so bit for bit
+            for label, value in branch.probabilities.items():
+                expected[label] += branch.probability * value
+        assert report.disturbed == expected
 
 
 class TestConfigAndReports:

@@ -192,7 +192,7 @@ class TestStreamPinning:
         cdf, xs = prepared.cdf, prepared.xs
         for n in (1, 100, SAMPLING_GRID_POINTS, 50_000):
             expected = np.interp(np.random.default_rng(8).random(n), cdf, xs)
-            assert shots._draw_pointer(np.random.default_rng(8), n, prepared).tobytes() == expected.tobytes()
+            assert prepared.pointer_samples(np.random.default_rng(8).random(n)).tobytes() == expected.tobytes()
 
 
 class TestBatching:
