@@ -8,18 +8,21 @@ PREPARE and RECOMBINE: none for the ideal run, a light shift or a
 third-ion rotation for the weak measurements. evolve folds apply_unitary
 over a sequence. PREPARE takes no parameter, so the state it leaves is
 evolved once per meter and kept (intermediate_state); every run, and the
-weak values of the intermediate projectors, evolve on from that state. A
-light shift by an array of a is one batch run on the same lines: the
-amplitudes evolve once and only the meter's centers carry the batch.
-Without a coupling, post-selecting |gg> succeeds with probability 1/16.
+weak values of the intermediate projectors, evolve on from that state.
+The ideal run and the strong comparison take no parameter at all, so each
+is evaluated once per process, on first use; every call returns fresh
+copies of its tables. A light shift by an array of a is one batch run on
+the same lines: the amplitudes evolve once and only the meter's centers
+carry the batch. Without a coupling, post-selecting |gg> succeeds with
+probability 1/16.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -138,7 +141,7 @@ class ThirdIonReport:
     postselection_probability: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a JSON scalar, in declaration order
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ class StrongComparisonReport:
     branches: tuple[StrongBranch, ...]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "branches": [dict(vars(b)) for b in self.branches]}
 
 
 def evolve(state: SystemState, sequence) -> SystemState:
@@ -213,10 +216,20 @@ def intermediate_state(meter: MeterSpace) -> SystemState:
     return evolve(init_ground(meter), PREPARE)
 
 
-def run_ideal() -> IdealResult:
-    """The bare interferometer without any meter coupling."""
+@cache
+def _ideal() -> IdealResult:
     state = IDEAL.final_state()
     return IdealResult(state, internal_probabilities(state))
+
+
+def run_ideal() -> IdealResult:
+    """The bare interferometer without any meter coupling.
+
+    It takes no parameter, so it is evaluated once per process; each call
+    returns the shared immutable state with a fresh copy of the table.
+    """
+    ideal = _ideal()
+    return IdealResult(ideal.state, dict(ideal.probabilities))
 
 
 def weak_values_postselected() -> dict[str, complex]:
@@ -334,16 +347,8 @@ def run_third_ion(theta: float) -> ThirdIonReport:
     )
 
 
-def run_strong_comparison() -> StrongComparisonReport:
-    """Final outcome tables with and without the projective |gg> measurement inserted.
-
-    The measurement (strong_measurement: |gg> against the rest) fires
-    between the annihilation pulse and the second beamsplitters: each
-    branch projects the memoized intermediate state onto its rows, reads
-    its probability from the row norms the state keeps, and evolves the
-    collapsed state through RECOMBINE. The disturbed table sums the branch
-    tables weighted by branch probability.
-    """
+@cache
+def _strong_comparison() -> StrongComparisonReport:
     undisturbed = run_ideal().probabilities
     psi = intermediate_state(NoMeter())
     branches = []
@@ -357,3 +362,22 @@ def run_strong_comparison() -> StrongComparisonReport:
         for outcome, value in table.items():
             disturbed[outcome] += probability * value
     return StrongComparisonReport(undisturbed, disturbed, tuple(branches))
+
+
+def run_strong_comparison() -> StrongComparisonReport:
+    """Final outcome tables with and without the projective |gg> measurement inserted.
+
+    The measurement (strong_measurement: |gg> against the rest) fires
+    between the annihilation pulse and the second beamsplitters: each
+    branch projects the memoized intermediate state onto its rows, reads
+    its probability from the row norms the state keeps, and evolves the
+    collapsed state through RECOMBINE. The disturbed table sums the branch
+    tables weighted by branch probability. It takes no parameter, so it is
+    evaluated once per process; each call returns fresh copies of the tables.
+    """
+    report = _strong_comparison()
+    return StrongComparisonReport(
+        dict(report.undisturbed),
+        dict(report.disturbed),
+        tuple(StrongBranch(b.label, b.probability, dict(b.probabilities)) for b in report.branches),
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class ShotResult:
     std_error_reliable: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a JSON scalar, in declaration order
 
 
 def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hardyions import meter
+from hardyions import meter, protocol
 from hardyions.protocol import intermediate_state
 
 
@@ -13,4 +13,12 @@ def double_precision(monkeypatch):
     monkeypatch.setattr(meter, "_LD", np.float64)
     intermediate_state.cache_clear()  # its states hold meters whose kernels were built in longdouble
     yield
+    intermediate_state.cache_clear()
+
+
+@pytest.fixture
+def cold_reports():
+    """The parameter-free reports (ideal, strong) and every memoized prefix evaluated afresh on next use."""
+    protocol._ideal.cache_clear()
+    protocol._strong_comparison.cache_clear()
     intermediate_state.cache_clear()

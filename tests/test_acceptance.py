@@ -20,6 +20,7 @@ from hardyions.meter import (
 )
 from hardyions.protocol import (
     RunConfig,
+    _ideal,
     closed_form_mean,
     intermediate_state,
     run_ideal,
@@ -86,7 +87,12 @@ def test_criterion_1_ideal_sequence_exactness():
         for label in BASIS_LABELS
     )
     p_gg = result.probabilities["gg"]
-    runtime = _best_runtime(run_ideal)
+
+    def cold_run_ideal():
+        _ideal.cache_clear()  # time the evaluation, not the copy a warm call hands out
+        return run_ideal()
+
+    runtime = _best_runtime(cold_run_ideal)
     passed = worst < 1e-12 and abs(p_gg - 1.0 / 16.0) < 1e-12 and runtime < 1e-3
     _report(
         1,

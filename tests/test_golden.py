@@ -84,10 +84,13 @@ def capture(workdir: Path) -> None:
     (GOLDEN / "cases.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-@pytest.mark.skipif(
+x87_only = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
     reason="golden bytes were captured with the x87 80-bit longdouble",
 )
+
+
+@x87_only
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_output_is_byte_identical(name, tmp_path):
     meta = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
@@ -99,6 +102,14 @@ def test_cli_output_is_byte_identical(name, tmp_path):
     if result["per_shot"] is not None:
         with gzip.open(GOLDEN / f"{name}.csv.gz", "rb") as fh:
             assert result["per_shot"] == fh.read()
+
+
+@x87_only
+def test_parameter_free_outputs_cold_and_warm(cold_reports, tmp_path):
+    # ideal and strong are evaluated once per process: the first pass evaluates, the second reuses
+    for _ in range(2):
+        for name in ("ideal-text", "ideal-json", "ideal-csv", "strong-text", "strong-json"):
+            assert run_case(name, tmp_path)["stdout"] == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
+import json
 import math
+import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from hardyions.protocol import (
     weak_values_postselected,
 )
 from hardyions.pulses import beamsplitter
-from hardyions.shots import prepare_experiment
+from hardyions.shots import prepare_experiment, run_experiment_mc
 from hardyions.statecore import (
     BASIS_LABELS,
     GaussianMeter,
@@ -81,8 +84,8 @@ class TestEngine:
         ],
         ids=["run_ideal", "run_strong_comparison", "prepare_experiment"],
     )
-    def test_no_state_built_only_for_its_norm(self, monkeypatch, run, most):
-        # one state per pulse, per conditional state and per collapsed branch
+    def test_no_state_built_only_for_its_norm(self, monkeypatch, cold_reports, run, most):
+        # cold: one state per pulse, per conditional state and per collapsed branch
         built = []
         post_init = SystemState.__post_init__
         monkeypatch.setattr(
@@ -90,6 +93,35 @@ class TestEngine:
         )
         run()
         assert len(built) <= most
+
+    @pytest.mark.parametrize("run", [run_ideal, run_strong_comparison])
+    def test_warm_report_runs_nothing(self, monkeypatch, cold_reports, run):
+        from hardyions import protocol
+
+        run()
+        built, applied = [], []
+        post_init = SystemState.__post_init__
+        monkeypatch.setattr(
+            SystemState, "__post_init__", lambda state: built.append(1) or post_init(state)
+        )
+        apply = protocol.apply_unitary
+        monkeypatch.setattr(protocol, "apply_unitary", lambda *args: applied.append(1) or apply(*args))
+        run()
+        assert built == [] and applied == []
+
+    def test_import_evaluates_neither_report(self):
+        # in a fresh interpreter: the reports are evaluated on first use, not at import
+        from hardyions import protocol
+
+        code = (
+            "from hardyions import protocol; "
+            "print(protocol._ideal.cache_info().currsize, protocol._strong_comparison.cache_info().currsize)"
+        )
+        src = str(Path(protocol.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}
+        )
+        assert done.stdout.split() == ["0", "0"]
 
     @pytest.mark.parametrize(
         "experiment",
@@ -513,3 +545,44 @@ class TestConfigAndReports:
         state = weak_gaussian_experiment(0.2).final_state()
         assert state.meter.centers == (0.0, -0.2)
         assert abs(state.norm - 1.0) < 1e-12
+
+
+class TestReportsEvaluatedOnce:
+    """run_ideal and run_strong_comparison share one evaluation; each call hands out fresh tables."""
+
+    def test_ideal_tables_are_fresh_copies(self):
+        first = run_ideal()
+        expected = dict(first.probabilities)
+        first.probabilities["gg"] = 2.0
+        first.to_json_dict()["probabilities"]["ge"] = 2.0
+        second = run_ideal()
+        assert second.probabilities == expected
+        assert second.to_json_dict()["probabilities"] == expected
+        assert second.state is first.state  # immutable, so shared
+
+    def test_strong_tables_are_fresh_copies(self):
+        expected = json.dumps(run_strong_comparison().to_json_dict())
+        report = run_strong_comparison()
+        report.undisturbed["gg"] = 2.0
+        report.disturbed["gg"] = 2.0
+        report.branches[0].probabilities["gg"] = 2.0
+        payload = run_strong_comparison().to_json_dict()
+        payload["undisturbed"]["ge"] = 2.0
+        payload["branches"][1]["probabilities"]["ge"] = 2.0
+        assert json.dumps(run_strong_comparison().to_json_dict()) == expected
+        assert run_ideal().probabilities == run_strong_comparison().undisturbed
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            run_strong_comparison,
+            lambda: run_third_ion(0.1),
+            lambda: run_third_ion(0.0),  # relative_deviation is None
+            lambda: run_experiment_mc(RunConfig(a=0.05, shots=1_000, seed=4)),
+            lambda: run_experiment_mc(RunConfig(shots=1, seed=0)),  # nothing accepted: None fields
+        ],
+        ids=["strong", "third-ion", "third-ion-0", "mc", "mc-none-accepted"],
+    )
+    def test_json_dict_serialises_as_asdict(self, report):
+        report = report()
+        assert json.dumps(report.to_json_dict(), indent=2) == json.dumps(asdict(report), indent=2)
