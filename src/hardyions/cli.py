@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache, partial
 
@@ -130,9 +133,26 @@ def _resolve(args) -> dict:
     return resolved
 
 
+@contextmanager
+def _overwrite(path: str, newline: str | None = None):
+    """Open path as a UTF-8 text file that replaces its old content, written in place.
+
+    The path is opened without O_TRUNC, which would make the file system free
+    the old blocks only to allocate them again. On leaving, a regular file is
+    cut to the length written, also when the body raises; a device or a pipe
+    is never truncated.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # flushes, then cuts at the current position
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _overwrite(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -233,7 +253,7 @@ def _cmd_mc(args, opts):
     )
     if args.per_shot:
         # opened before sampling, so an unwritable path fails before any batch is drawn
-        with open(args.per_shot, "w", encoding="utf-8", newline="") as fh:
+        with _overwrite(args.per_shot, newline="") as fh:
             fh.write("shot,accepted,x_sample\r\n")
             result = run_experiment_mc(config, on_batch=partial(_write_per_shot_batch, fh.write))
     else:

@@ -47,9 +47,7 @@ class ShotResult:
         return dict(vars(self))  # every field is a JSON scalar, in declaration order
 
 
-def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray]:
-    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS * pointer.sigma
-    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS * pointer.sigma
+def _inverse_cdf_table(pointer: GaussianPointer, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     grid = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
     xs = grid.xs
     density = np.abs(grid.values) ** 2
@@ -114,7 +112,12 @@ def prepare_experiment(config: RunConfig) -> PreparedExperiment:
     # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
     outcome_cdf = (probabilities / probabilities.sum()).cumsum()
     outcome_cdf /= outcome_cdf[-1]
-    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer))
+    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS * pointer.sigma
+    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS * pointer.sigma
+    edge = max(-lo, hi)  # no sample lies farther from 0, so this bounds the sum of squared samples
+    if not math.isfinite(config.shots * edge * edge):
+        raise ValueError(f"the squared pointer samples of {config.shots} shots overflow a double")
+    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer, lo, hi))
 
 
 class batch_plan(Sequence):

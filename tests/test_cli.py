@@ -1,4 +1,6 @@
 import csv
+import errno
+import gzip
 import json
 import math
 import os
@@ -13,6 +15,9 @@ import hardyions
 from hardyions import cli, shots
 from hardyions.cli import main
 from hardyions.protocol import RunConfig
+from test_golden import CASES, GOLDEN, PER_SHOT, x87_only
+
+PER_SHOT_HEADER = b"shot,accepted,x_sample\r\n"
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +231,31 @@ class TestMonteCarlo:
         assert run_cli(capsys, "mc", "--a", "1e150", "--shots", "1000", "--format", fmt)[0] == 0
         assert calls == ["grid", "draw"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_sum_of_squares_rejected(self, capsys, tmp_path, fmt):
+        # each sample's square fits a double here, but the sum of 1000 of them does not: the run
+        # printed "std_error": NaN, which is not JSON
+        path = tmp_path / "shots.csv"
+        path.write_bytes(b"stale row\r\n" * 1000)
+        argv = ["mc", "--a", "1e154", "--sigma", "2.35482004503", "--shots", "1000", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv, "--per-shot", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the squared pointer samples of 1000 shots overflow a double\n"
+        assert path.read_bytes() == PER_SHOT_HEADER
+
+    def test_sum_of_squares_bound_is_the_grid_edge(self, capsys):
+        # the sampling grid reaches a + 8 sigma, so at a = 1e152 the bound allows about 17 976 shots
+        def strict(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code, out, _ = run_cli(capsys, "mc", "--a", "1e152", "--shots", "17000")
+        assert code == 0
+        payload = json.loads(out, parse_constant=strict)
+        assert payload["std_error"] > 0.0 and math.isfinite(payload["std_error"])
+        code, out, err = run_cli(capsys, "mc", "--a", "1e152", "--shots", "18000")
+        assert (code, out) == (2, "")
+        assert "18000 shots" in err
+
     @pytest.mark.parametrize("per_shot", [False, True])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_sigma_with_subnormal_square_rejected(self, capsys, tmp_path, fmt, per_shot):
@@ -412,6 +442,16 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(path.read_text())["probabilities"]["gg"] == pytest.approx(0.0625)
 
+    def test_out_file_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "ideal.txt"
+        assert run_cli(capsys, "ideal", "--out", str(path))[0] == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        path.chmod(0o600)
+        assert run_cli(capsys, "ideal", "--format", "csv", "--out", str(path))[0] == 0
+        assert path.stat().st_mode & 0o777 == 0o600
+
     def test_parser_keeps_no_state_between_calls(self, capsys):
         from hardyions.cli import build_parser
 
@@ -495,3 +535,71 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "ideal")
         assert code == 4
         assert "invariant" in err
+
+
+def stale(length):
+    """Bytes, longer than length, that no command writes."""
+    return b"stale\n" * (length // 6 + 100)
+
+
+class TestOutputFiles:
+    """--out and --per-shot replace what the file held, written in place."""
+
+    @x87_only
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_golden_bytes_over_longer_files(self, capsys, tmp_path, name):
+        meta = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
+        golden = (GOLDEN / f"{name}.stdout").read_bytes()
+        out, per_shot = tmp_path / "out", tmp_path / "shots.csv"
+        out.write_bytes(stale(len(golden)))
+        if PER_SHOT in CASES[name]:
+            with gzip.open(GOLDEN / f"{name}.csv.gz", "rb") as fh:
+                golden_per_shot = fh.read()
+            per_shot.write_bytes(stale(len(golden_per_shot)))
+        argv = [str(per_shot) if arg == PER_SHOT else arg for arg in CASES[name]]
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout, err) == (meta["exit"], "", meta["stderr"])
+        # a usage error is raised before the output is opened, so the file keeps its old bytes
+        assert out.read_bytes() == (stale(len(golden)) if code == 2 else golden)
+        if PER_SHOT in CASES[name]:
+            assert per_shot.read_bytes() == golden_per_shot
+
+    @pytest.mark.parametrize(
+        "argv", [["ideal", "--out"], ["strong", "--format", "json", "--out"], ["mc", "--shots", "1000", "--per-shot"]]
+    )
+    def test_dev_null(self, capsys, argv):
+        # /dev/null is seekable but cannot be truncated
+        code, out, err = run_cli(capsys, *argv, os.devnull)
+        assert (code, err) == (0, "")
+        assert (out == "") == ("--out" in argv)
+
+    @pytest.mark.parametrize("flag", ["--out", "--per-shot"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unopenable_path(self, capsys, tmp_path, flag, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        number = errno.EISDIR if where == "directory" else errno.ENOENT
+        code, out, err = run_cli(capsys, "mc", "--shots", "10", flag, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno {number}] {os.strerror(number)}: {str(path)!r}\n"
+
+    @pytest.mark.parametrize("a", ["1e300", "1e154"], ids=["moments", "sum of squares"])
+    def test_failed_per_shot_run_leaves_only_the_header(self, capsys, tmp_path, a):
+        # both runs fail after the file is opened and its header written
+        path = tmp_path / "shots.csv"
+        path.write_bytes(stale(1 << 16))
+        code, out, err = run_cli(capsys, "mc", "--a", a, "--shots", "1000", "--per-shot", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert path.read_bytes() == PER_SHOT_HEADER
+
+    def test_rerun_over_a_longer_run_equals_a_fresh_run(self, capsys, tmp_path):
+        # on any platform, unlike the golden bytes
+        def run(directory, shots):
+            directory.mkdir(exist_ok=True)
+            files = directory / "out.txt", directory / "shots.csv"
+            argv = ["mc", "--shots", shots, "--format", "text", "--out", str(files[0]), "--per-shot", str(files[1])]
+            assert run_cli(capsys, *argv)[0] == 0
+            return [path.read_bytes() for path in files]
+
+        run(tmp_path / "rerun", "3000")
+        assert run(tmp_path / "rerun", "500") == run(tmp_path / "fresh", "500")
