@@ -551,7 +551,8 @@ class TestOutputFiles:
         meta = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))[name]
         golden = (GOLDEN / f"{name}.stdout").read_bytes()
         out, per_shot = tmp_path / "out", tmp_path / "shots.csv"
-        out.write_bytes(stale(len(golden)))
+        old = stale(len(golden))
+        out.write_bytes(old)
         if PER_SHOT in CASES[name]:
             with gzip.open(GOLDEN / f"{name}.csv.gz", "rb") as fh:
                 golden_per_shot = fh.read()
@@ -560,13 +561,11 @@ class TestOutputFiles:
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert (code, stdout, err) == (meta["exit"], "", meta["stderr"])
         # a usage error is raised before the output is opened, so the file keeps its old bytes
-        assert out.read_bytes() == (stale(len(golden)) if code == 2 else golden)
+        assert out.read_bytes() == (old if code == 2 else golden)
         if PER_SHOT in CASES[name]:
             assert per_shot.read_bytes() == golden_per_shot
 
-    @pytest.mark.parametrize(
-        "argv", [["ideal", "--out"], ["strong", "--format", "json", "--out"], ["mc", "--shots", "1000", "--per-shot"]]
-    )
+    @pytest.mark.parametrize("argv", [["ideal", "--out"], ["mc", "--shots", "1000", "--per-shot"]])
     def test_dev_null(self, capsys, argv):
         # /dev/null is seekable but cannot be truncated
         code, out, err = run_cli(capsys, *argv, os.devnull)
@@ -582,24 +581,10 @@ class TestOutputFiles:
         assert (code, out) == (2, "")
         assert err == f"error: [Errno {number}] {os.strerror(number)}: {str(path)!r}\n"
 
-    @pytest.mark.parametrize("a", ["1e300", "1e154"], ids=["moments", "sum of squares"])
-    def test_failed_per_shot_run_leaves_only_the_header(self, capsys, tmp_path, a):
-        # both runs fail after the file is opened and its header written
+    def test_failed_per_shot_run_leaves_only_the_header(self, capsys, tmp_path):
+        # the pointer moments overflow after the file is opened and its header written
         path = tmp_path / "shots.csv"
         path.write_bytes(stale(1 << 16))
-        code, out, err = run_cli(capsys, "mc", "--a", a, "--shots", "1000", "--per-shot", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        code, out, err = run_cli(capsys, "mc", "--a", "1e300", "--shots", "1000", "--per-shot", str(path))
+        assert (code, out, err) == (2, "", "error: pointer moments overflow a double\n")
         assert path.read_bytes() == PER_SHOT_HEADER
-
-    def test_rerun_over_a_longer_run_equals_a_fresh_run(self, capsys, tmp_path):
-        # on any platform, unlike the golden bytes
-        def run(directory, shots):
-            directory.mkdir(exist_ok=True)
-            files = directory / "out.txt", directory / "shots.csv"
-            argv = ["mc", "--shots", shots, "--format", "text", "--out", str(files[0]), "--per-shot", str(files[1])]
-            assert run_cli(capsys, *argv)[0] == 0
-            return [path.read_bytes() for path in files]
-
-        run(tmp_path / "rerun", "3000")
-        assert run(tmp_path / "rerun", "500") == run(tmp_path / "fresh", "500")
