@@ -13,7 +13,6 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache, partial
 
@@ -133,27 +132,18 @@ def _resolve(args) -> dict:
     return resolved
 
 
-@contextmanager
-def _overwrite(path: str, newline: str | None = None):
-    """Open path as a UTF-8 text file that replaces its old content, written in place.
-
-    The path is opened without O_TRUNC, which would make the file system free
-    the old blocks only to allocate them again. On leaving, a regular file is
-    cut to the length written, also when the body raises; a device or a pipe
-    is never truncated.
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()  # flushes, then cuts at the current position
-
-
 def _emit(args, text: str) -> None:
     if args.out:
-        with _overwrite(args.out) as fh:
+        # Written in place: O_TRUNC would make the file system free the old blocks only to
+        # allocate them again. A regular file longer than the text is then cut to its length;
+        # a device or a pipe is never truncated. The text goes in one write, so only a run
+        # killed between that write and the cut leaves old bytes after the new ones.
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            written = os.fstat(fh.fileno())
+            if stat.S_ISREG(written.st_mode) and written.st_size > fh.tell():
+                fh.truncate()
     else:
         sys.stdout.write(text)
 
@@ -252,8 +242,9 @@ def _cmd_mc(args, opts):
         seed=opts["seed"],
     )
     if args.per_shot:
-        # opened before sampling, so an unwritable path fails before any batch is drawn
-        with _overwrite(args.per_shot, newline="") as fh:
+        # opened before sampling, so an unwritable path fails before any batch is drawn; truncated
+        # on open, unlike --out, so that a run killed part-way leaves no old rows after the new
+        with open(args.per_shot, "w", encoding="utf-8", newline="") as fh:
             fh.write("shot,accepted,x_sample\r\n")
             result = run_experiment_mc(config, on_batch=partial(_write_per_shot_batch, fh.write))
     else:

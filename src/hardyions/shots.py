@@ -47,7 +47,9 @@ class ShotResult:
         return dict(vars(self))  # every field is a JSON scalar, in declaration order
 
 
-def _inverse_cdf_table(pointer: GaussianPointer, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray]:
+    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS * pointer.sigma
+    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS * pointer.sigma
     grid = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
     xs = grid.xs
     density = np.abs(grid.values) ** 2
@@ -112,12 +114,7 @@ def prepare_experiment(config: RunConfig) -> PreparedExperiment:
     # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
     outcome_cdf = (probabilities / probabilities.sum()).cumsum()
     outcome_cdf /= outcome_cdf[-1]
-    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS * pointer.sigma
-    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS * pointer.sigma
-    edge = max(-lo, hi)  # no sample lies farther from 0, so this bounds the sum of squared samples
-    if not math.isfinite(config.shots * edge * edge):
-        raise ValueError(f"the squared pointer samples of {config.shots} shots overflow a double")
-    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer, lo, hi))
+    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer))
 
 
 class batch_plan(Sequence):
@@ -153,6 +150,8 @@ def merge_shot_totals(totals, seed: int) -> ShotResult:
         total += t.total
         sum_x += t.sum_x
         sum_x_sq += t.sum_x_sq
+    if not math.isfinite(sum_x_sq):  # bounds sum_x too: sum_x ** 2 <= accepted * sum_x_sq
+        raise ValueError("the sum of the squared pointer samples overflows a double")
     if accepted == 0:
         return ShotResult(0, total, None, None, seed, False)
     mean = sum_x / accepted
@@ -189,6 +188,8 @@ def run_experiment_mc(
             accepted, samples = draw_batch(prepared, batch_index, size)
             if on_batch is not None:
                 on_batch(plan.starts[batch_index], accepted, samples)
-            yield BatchTotals(len(samples), size, float(np.sum(samples)), float(np.sum(samples * samples)))
+            with np.errstate(over="ignore"):  # merge_shot_totals rejects a sum that overflows
+                sum_x_sq = float(np.sum(samples * samples))
+            yield BatchTotals(len(samples), size, float(np.sum(samples)), sum_x_sq)
 
     return merge_shot_totals(totals(), config.seed)

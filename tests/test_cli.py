@@ -233,28 +233,32 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_sum_of_squares_rejected(self, capsys, tmp_path, fmt):
-        # each sample's square fits a double here, but the sum of 1000 of them does not: the run
-        # printed "std_error": NaN, which is not JSON
+        # each sample's square fits a double here, but the sum of some 300 of them does not: the
+        # run printed "std_error": NaN, which is not JSON
         path = tmp_path / "shots.csv"
-        path.write_bytes(b"stale row\r\n" * 1000)
-        argv = ["mc", "--a", "1e154", "--sigma", "2.35482004503", "--shots", "1000", "--format", fmt]
+        path.write_bytes(stale(1 << 16))
+        argv = ["mc", "--a", "5e153", "--shots", "1000", "--format", fmt]
         code, out, err = run_cli(capsys, *argv, "--per-shot", str(path))
         assert (code, out) == (2, "")
-        assert err == "error: the squared pointer samples of 1000 shots overflow a double\n"
-        assert path.read_bytes() == PER_SHOT_HEADER
+        assert err == "error: the sum of the squared pointer samples overflows a double\n"
+        # the totals are merged after the last batch is written, so every row is in the file
+        rows = path.read_bytes().split(b"\r\n")
+        assert rows[0] + b"\r\n" == PER_SHOT_HEADER and rows[-1] == b"" and len(rows) == 1002
 
-    def test_sum_of_squares_bound_is_the_grid_edge(self, capsys):
-        # the sampling grid reaches a + 8 sigma, so at a = 1e152 the bound allows about 17 976 shots
+    @pytest.mark.parametrize(
+        "argv", [["--a", "1e152", "--shots", "18000"], ["--sigma", "1e153", "--shots", "1000"],
+                 ["--a", "5e153", "--shots", "3"]]
+    )
+    def test_sum_of_squares_checked_on_the_totals(self, capsys, argv):
+        # samples far out on the grid, whose totals still fit a double, give a finite result
         def strict(constant):
             raise ValueError(f"not JSON: {constant}")
 
-        code, out, _ = run_cli(capsys, "mc", "--a", "1e152", "--shots", "17000")
-        assert code == 0
+        code, out, err = run_cli(capsys, "mc", *argv, "--format", "json")
+        assert (code, err) == (0, "")
         payload = json.loads(out, parse_constant=strict)
-        assert payload["std_error"] > 0.0 and math.isfinite(payload["std_error"])
-        code, out, err = run_cli(capsys, "mc", "--a", "1e152", "--shots", "18000")
-        assert (code, out) == (2, "")
-        assert "18000 shots" in err
+        assert math.isfinite(payload["sample_mean"])
+        assert payload["std_error"] is None or payload["std_error"] > 0.0
 
     @pytest.mark.parametrize("per_shot", [False, True])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -543,7 +547,7 @@ def stale(length):
 
 
 class TestOutputFiles:
-    """--out and --per-shot replace what the file held, written in place."""
+    """--out writes over what the file held, in place; --per-shot truncates it on open."""
 
     @x87_only
     @pytest.mark.parametrize("name", list(CASES))
