@@ -6,12 +6,13 @@ for the meters a pulse couples to, that coupling (couple returns the new
 amplitudes and meter). This module alone knows the Gaussian branch
 representation: the Gram kernel, the one contraction that computes every
 quadratic form over it, the light-shift displacement and the readout. A
-GaussianMeter holds one set of centers, shape (M,), or a batch of sets,
-shape (B, M), with one sigma and one branch layout; kernels, forms and
-moments carry the batch axis, and one set runs the same lines. A
-GaussianPointer is a view on a GaussianMeter and one coefficient per center;
-read from a state, it shares the state's meter and cached kernel. A sampled
-position grid serves as an independent numerical oracle, and a two-level
+GaussianMeter, keyed on sigma and its points, holds its centers only as
+the read-only points array: one set, shape (M,), or a batch of sets, shape
+(B, M), with one sigma and one branch layout; kernels, forms and moments
+carry the batch axis, and one set runs the same lines. A GaussianPointer
+is a view on a GaussianMeter and one coefficient per center; read from a
+state, it shares the state's meter and cached kernel. A sampled position
+grid serves as an independent numerical oracle, and a two-level
 pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
@@ -95,35 +96,32 @@ class NoMeter(_EuclideanMetric):
         raise ValueError("state has no meter attached")
 
 
-def _frozen(values: list) -> tuple:
-    """A non-empty list of floats, or of such lists, as nested tuples."""
-    return tuple(map(_frozen, values)) if isinstance(values[0], list) else tuple(values)
-
-
-@dataclass(frozen=True)
 class GaussianMeter:
-    """Meter space spanned by width-sigma Gaussians at the listed centers.
+    """Meter space spanned by width-sigma Gaussians at the given centers.
 
-    centers is one tuple of M = dim centers or a batch of B such tuples;
-    points holds them as a read-only (M,) or (B, M) array.
+    points holds the centers as a read-only array: one set, shape (M,) with
+    M = dim, or a batch of B sets, shape (B, M). Meters are equal when sigma
+    and the shape and bytes of points are, so centers 0.0 and -0.0 differ.
     """
 
-    sigma: float
-    centers: tuple = (0.0,)
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
+    def __init__(self, sigma: float, centers=(0.0,)) -> None:
+        if not (sigma > 0.0) or not math.isfinite(sigma):
+            raise ValueError(f"sigma must be a positive finite length, got {sigma}")
         # couple passes a Fortran-order slice; the Gram contractions over a kernel in that layout run 1.5x slower
-        points = np.array(self.centers, dtype=float, order="C")
+        points = np.array(centers, dtype=float, order="C")
         if points.ndim not in (1, 2) or not points.size:
             raise ValueError("need at least one branch center, in one set or a batch of sets")
         if not all(map(math.isfinite, points.ravel().tolist())):
             raise ValueError("non-finite branch center")
-        points.flags.writeable = False
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "centers", _frozen(points.tolist()))
-        self.__dict__.update(points=points, dim=points.shape[-1])  # derived from centers, not fields
+        points.flags.writeable = False  # the key below is taken once
+        self.sigma, self.points, self.dim = float(sigma), points, points.shape[-1]
+        self._key = (self.sigma, points.shape, points.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GaussianMeter) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def fiducial(self) -> np.ndarray:
         amps = np.zeros(self.dim, dtype=complex)
@@ -163,11 +161,12 @@ class GaussianMeter:
         dest = self.points[..., moved] + np.asarray(shift)[..., None]
         joint = np.empty(dest.shape[:-1] + (dim + len(moved),))  # the centers, then the destinations
         joint[..., :dim], joint[..., dim:] = self.points, dest
-        # the branch layout, each center's first equal center, must be the same in every set
-        layouts = {tuple(map(s.index, s)) for s in joint.reshape(-1, joint.shape[-1]).tolist()}
-        if len(layouts) > 1:
+        # which centers coincide must be the same in every set; the layout maps each to its first equal center
+        equal = joint[..., :, None] == joint[..., None, :]
+        first = equal.reshape(-1, *equal.shape[-2:])[0]
+        if not (equal == first).all():
             raise ValueError("center sets of a batch must merge the same branches; zero and nonzero shifts do not")
-        (layout,) = layouts
+        layout = first.argmax(axis=-1).tolist()
         keep = [*range(dim), *(j for j in range(dim, len(layout)) if layout[j] == j)]
         amps = np.zeros((len(amplitudes), len(keep)), dtype=complex)
         amps[:, :dim] = amplitudes
@@ -214,7 +213,7 @@ class GaussianPointer:
 
     A view on the GaussianMeter that holds sigma, the centers d_i and their
     Gram kernel, with one coefficient c_i per center (read-only; one row per
-    center set on a batched meter, where branches and the grid do not apply).
+    center set on a batched meter, where branches and the grid raise ValueError).
     GaussianPointer(sigma, branches) builds the meter from (coefficient,
     center) pairs. The representation is exact: no truncation is involved.
     """
@@ -244,13 +243,11 @@ class GaussianPointer:
     def sigma(self) -> float:
         return self.meter.sigma
 
-    @property
-    def centers(self) -> np.ndarray:
-        return self.meter.points
-
     @cached_property
     def branches(self) -> tuple[tuple[complex, float], ...]:
-        return tuple(zip(self.coefficients.tolist(), self.meter.centers))
+        if self.meter.points.ndim > 1:
+            raise ValueError("a batch pointer has no single branch list; read its moments instead")
+        return tuple(zip(self.coefficients.tolist(), self.meter.points.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,7 +265,7 @@ def gaussian_moments(p: GaussianPointer):
     """Exact (<x>, <x^2>) of the normalized pointer (lists over a batch); ValueError on overflow."""
     c = p.coefficients[..., None, :]
     gram = p.meter.gram
-    half = p.centers / 2.0
+    half = p.meter.points / 2.0
     mid = (half[..., :, None] + half[..., None, :]).astype(_LD)
     with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
         kernels = np.array((gram, gram * mid, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)))

@@ -210,7 +210,7 @@ def third_ion_experiment(theta: float) -> Experiment:
     return Experiment(QubitMeter(), (partial_ccnot(theta),))
 
 
-@lru_cache(maxsize=64)  # meters are frozen and states immutable, so one evolution serves every run
+@lru_cache(maxsize=64)  # meters hash by value and states are immutable, so one evolution serves every run
 def intermediate_state(meter: MeterSpace) -> SystemState:
     """The state between the annihilation pulse and the second beamsplitters."""
     return evolve(init_ground(meter), PREPARE)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyions.meter import (
+    GaussianMeter,
     GaussianPointer,
     GridPointer,
     QubitPointer,
@@ -255,6 +256,16 @@ class TestValidationAndSerialization:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             GaussianPointer(1.0, ((math.inf, 0.0),))
+
+    def test_meter_identity(self):
+        # a meter is keyed on sigma and the bytes of its read-only points, taken once at construction
+        meter = GaussianMeter(1, [0.0, -0.5])
+        same = GaussianMeter(1.0, np.array([0.0, -0.5]))
+        assert meter == same
+        assert hash(meter) == hash(same)
+        assert meter != GaussianMeter(1.0, [[0.0, -0.5]])
+        assert meter != GaussianMeter(2.0, [0.0, -0.5])
+        assert not meter.points.flags.writeable
 
     def test_json_round_trip(self):
         p = GaussianPointer(0.7, ((1.0 + 2.0j, -0.5), (-2.0, 0.0)))

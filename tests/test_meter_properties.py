@@ -62,7 +62,7 @@ def test_pointer_norm_matches_the_row_norm(case):
 def test_view_moments_equal_those_of_a_built_pointer(case):
     state, label = case
     row = state.amplitudes[BASIS_LABELS.index(label)]
-    branches = [(complex(c), d) for c, d in zip(row, state.meter.centers)]
+    branches = [(complex(c), d) for c, d in zip(row, state.meter.points.tolist())]
     built = GaussianPointer(state.meter.sigma, branches)
     assert moments_or_error(pointer_component(state, label)) == moments_or_error(built)
 
@@ -73,7 +73,7 @@ def test_zero_branches_change_no_bit_of_the_readout(case):
     # the view keeps the branches with coefficient 0; a pointer without them has the same norm and moments
     state, label = case
     row = state.amplitudes[BASIS_LABELS.index(label)]
-    nonzero = GaussianPointer(state.meter.sigma, [(c, d) for c, d in zip(row, state.meter.centers) if c != 0])
+    nonzero = GaussianPointer(state.meter.sigma, [(c, d) for c, d in zip(row, state.meter.points.tolist()) if c != 0])
     view = pointer_component(state, label)
     assert gaussian_norm_sq(view) == gaussian_norm_sq(nonzero)
     assert moments_or_error(view) == moments_or_error(nonzero)
