@@ -47,9 +47,14 @@ _PARAMS = {
 _CONFIG_TYPES = {**{key: kind for key, (kind, _) in _PARAMS.items()}, "format": str}
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call; do not modify it."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="hardyions",
         description="Two-ion interferometer with weakly coupled meters: "
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strong", help="projective intermediate measurement versus the undisturbed run")
     add_common(p, ("text", "json"))
 
-    return parser
+    return parser, sub.choices
 
 
 def _read_config_file(path: str) -> dict:
@@ -280,16 +285,43 @@ _COMMANDS = {
 }
 
 
+def _render(command, args, opts) -> tuple[str, int]:
+    """The command's output text in the resolved format, and its exit code."""
+    payload, text, code = _COMMANDS[command](args, opts)
+    return (json.dumps(payload, indent=2) + "\n" if opts["format"] == "json" else text), code
+
+
+@cache
+def _render_parameter_free(command: str, fmt: str) -> tuple[str, int]:
+    """ideal and strong read nothing but the format, so each format is rendered once per process."""
+    return _render(command, None, {"format": fmt})
+
+
+def _parse(argv):
+    """The parsed arguments; a valid command is parsed only by its own parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    # no command, help, an unknown command or leftover arguments: the full parser says so
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         opts = _resolve(args)
-        payload, text, code = _COMMANDS[args.command](args, opts)
-        _emit(args, json.dumps(payload, indent=2) + "\n" if opts["format"] == "json" else text)
+        if args.command in ("ideal", "strong"):
+            text, code = _render_parameter_free(args.command, opts["format"])
+        else:
+            text, code = _render(args.command, args, opts)
+        _emit(args, text)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hardyions import meter, protocol
+from hardyions import cli, meter, protocol
 from hardyions.protocol import intermediate_state
 
 
@@ -18,7 +18,8 @@ def double_precision(monkeypatch):
 
 @pytest.fixture
 def cold_reports():
-    """The parameter-free reports (ideal, strong) and every memoized prefix evaluated afresh on next use."""
+    """The parameter-free reports (ideal, strong), their CLI texts and every memoized prefix evaluated afresh on next use."""
+    cli._render_parameter_free.cache_clear()
     protocol._ideal.cache_clear()
     protocol._strong_comparison.cache_clear()
     intermediate_state.cache_clear()

@@ -459,7 +459,7 @@ class TestPlumbing:
     def test_parser_keeps_no_state_between_calls(self, capsys):
         from hardyions.cli import build_parser
 
-        build_parser.cache_clear()
+        cli._parsers.cache_clear()
         _, alone, _ = run_cli(capsys, "weak")
         code, first, _ = run_cli(capsys, "weak", "--a", "3", "--format", "json")
         assert code == 0
@@ -528,7 +528,7 @@ class TestPlumbing:
         assert (code, out) == (2, "")
         assert err == f"error: {config}:2: {key}: {message}\n"
 
-    def test_invariant_violation_exits_4(self, capsys, monkeypatch):
+    def test_invariant_violation_exits_4(self, capsys, monkeypatch, cold_reports):
         from hardyions import cli
         from hardyions.errors import InvariantError
 
@@ -539,6 +539,31 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "ideal")
         assert code == 4
         assert "invariant" in err
+
+
+class TestUsage:
+    """main parses as the full parser does: the same help, usage errors and parsed arguments."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["bogus"], ["wea"], ["weak", "-h"], ["weak", "--a", "abc"], ["weak", "--a", "1", "extra"],
+         ["weak", "--bogus", "1"], ["ideal", "--out"], ["scan", "--st", "5"], ["weak", "--a=0.5"],
+         ["strong", "--format=json"]],
+        ids=" ".join,
+    )
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        parsed = []
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda args: parsed.append(vars(args).copy()) or resolve(args))
+        code, out, err = run_cli(capsys, *argv)
+        try:
+            expected = vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert (code, out, err) == ((exc.code or 0), *capsys.readouterr())
+            assert parsed == []
+        else:
+            assert (code, err) == (0, "")
+            assert parsed == [expected]
 
 
 def stale(length):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardyions import cli
 from hardyions.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -110,6 +111,20 @@ def test_parameter_free_outputs_cold_and_warm(cold_reports, tmp_path):
     for _ in range(2):
         for name in ("ideal-text", "ideal-json", "ideal-csv", "strong-text", "strong-json"):
             assert run_case(name, tmp_path)["stdout"] == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+@x87_only
+def test_parameter_free_outputs_rendered_once_per_format(cold_reports, monkeypatch, tmp_path):
+    # the first call per format evaluates and renders, the next four reuse its text
+    calls = []
+    for name in ("run_ideal", "run_strong_comparison"):
+        run = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda run=run, name=name: calls.append(name) or run())
+    names = ("ideal-text", "ideal-json", "ideal-csv", "strong-text", "strong-json")
+    for _ in range(5):
+        for name in names:
+            assert run_case(name, tmp_path)["stdout"] == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert calls == ["run_ideal"] * 3 + ["run_strong_comparison"] * 2
 
 
 if __name__ == "__main__":
