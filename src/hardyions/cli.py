@@ -218,25 +218,50 @@ def _cmd_third_ion(args, opts):
     return report.to_json_dict(), text, EXIT_OK
 
 
-_REJECTED_ROW = "%d,0,\r\n"
+_BLOCK = 1000  # rows in a block of rejected rows: shots k*1000 .. k*1000+999
+_WRITE_ROWS = 2 * _BLOCK  # about 25 KB per write call; a whole batch per call costs 4.5 MB of peak RSS
+
+
+@cache
+def _block_parts() -> tuple[list[str], str]:
+    """The tails "000,0,\\r\\n" .. "999,0,\\r\\n" that str(k) joins into block k, and block 0; built on first use."""
+    return ["", *(f"{j:03d},0,\r\n" for j in range(_BLOCK))], "".join(f"{s},0,\r\n" for s in range(_BLOCK))
+
+
+def _rejected_length(shots):
+    """Characters in the rejected rows of shots 0 .. s-1, for each s: 6 per row, plus its digits past the first."""
+    return 6 * shots + sum(np.maximum(shots - 10**p, 0) for p in range(1, 19))
 
 
 def _write_per_shot_batch(write, first_shot, accepted, samples) -> None:
-    """Write one batch's per-shot CSV rows, each run of rejected shots in one call.
+    """Write one batch's per-shot CSV rows, cut from 1000-row blocks of rejected rows.
 
-    The bytes are those the csv module writes: rows end in \\r\\n and
-    x_sample is the repr of the float, empty on rejected shots.
+    The bytes are those the csv module writes: rows end in \\r\\n and x_sample is the repr of
+    the float, empty on rejected shots. Only accepted rows are formatted, each over its "0,\\r\\n".
     """
-    shot = first_shot
-    accepted_shots = (np.flatnonzero(accepted) + first_shot).tolist()
-    for hit, x in zip(accepted_shots, samples.tolist()):
-        if hit > shot:
-            write(_REJECTED_ROW * (hit - shot) % tuple(range(shot, hit)))
-        write(f"{hit},1,{x!r}\r\n")
-        shot = hit + 1
+    tails, block_0 = _block_parts()
     end = first_shot + len(accepted)
-    if end > shot:
-        write(_REJECTED_ROW * (end - shot) % tuple(range(shot, end)))
+    starts = np.arange(first_shot - first_shot % _WRITE_ROWS, end, _WRITE_ROWS)
+    stops = np.minimum(starts + _WRITE_ROWS, end)
+    hits = np.flatnonzero(accepted) + first_shot
+    row_ends = _rejected_length(hits + 1) - 4  # where each accepted row's "0,\r\n" starts
+    begin = int(_rejected_length(first_shot))
+    taken = 0
+    for start, stop, base, last, split in zip(
+        starts.tolist(), stops.tolist(), _rejected_length(starts).tolist(),
+        _rejected_length(stops).tolist(), np.searchsorted(hits, stops).tolist(),
+    ):
+        blocks = range(start // _BLOCK, -(-stop // _BLOCK))
+        text = "".join([str(k).join(tails) if k else block_0 for k in blocks])
+        pos = max(begin - base, 0)
+        pieces = []
+        # lists of one write's rows only: lists of a whole batch's would outweigh the blocks
+        for row_end, x in zip((row_ends[taken:split] - base).tolist(), samples[taken:split].tolist()):
+            pieces += text[pos:row_end], f"1,{x!r}\r\n"
+            pos = row_end + 4
+        pieces.append(text[pos : last - base])
+        write("".join(pieces))
+        taken = split
 
 
 def _cmd_mc(args, opts):

@@ -1,6 +1,7 @@
 import csv
 import errno
 import gzip
+import io
 import json
 import math
 import os
@@ -9,7 +10,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardyions
 from hardyions import cli, shots
@@ -287,19 +291,34 @@ class TestMonteCarlo:
         assert all(r["x_sample"] != "" for r in accepted_rows)
 
 
-def write_reference_per_shot(path, batches):
+def reference_per_shot(batches):
     """The per-shot file as a csv-module writer loop over every shot writes it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shot", "accepted", "x_sample"])
-        for first_shot, accepted, samples in batches:
-            taken = 0
-            for offset, hit in enumerate(accepted):
-                if hit:
-                    writer.writerow([first_shot + offset, 1, repr(float(samples[taken]))])
-                    taken += 1
-                else:
-                    writer.writerow([first_shot + offset, 0, ""])
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["shot", "accepted", "x_sample"])
+    for first_shot, accepted, samples in batches:
+        taken = 0
+        for offset, hit in enumerate(accepted):
+            if hit:
+                writer.writerow([first_shot + offset, 1, repr(float(samples[taken]))])
+                taken += 1
+            else:
+                writer.writerow([first_shot + offset, 0, ""])
+    return fh.getvalue()
+
+
+def write_reference_per_shot(path, batches):
+    Path(path).write_text(reference_per_shot(batches), encoding="utf-8", newline="")
+
+
+# first shots at and around every power of ten up to 10**12, where rows gain a digit, and
+# every multiple of 1000, where the writer's blocks of rejected rows start
+FIRST_SHOTS = st.one_of(
+    st.builds(lambda p, d: max(0, 10**p + d), st.integers(0, 12), st.integers(-5000, 5000)),
+    st.builds(lambda m, d: max(0, 1000 * m + d), st.integers(0, 10**9), st.integers(-3, 3)),
+)
+# every form repr gives a float: signed zero, integral, small and large exponents, subnormal, max
+REPR_FORMS = [-0.0, 2.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
 
 
 class TestPerShotWriter:
@@ -343,6 +362,54 @@ class TestPerShotWriter:
             "final partial batch",
             "run without an accepted shot",
         }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        first_shot=FIRST_SHOTS,
+        length=st.integers(1, 5000),
+        mask=st.sampled_from(["empty", "full", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(
+            st.one_of(st.sampled_from(REPR_FORMS), st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_batch_bytes_match_csv_module(self, first_shot, length, mask, seed, values):
+        rng = np.random.default_rng(seed)
+        accepted = {
+            "empty": np.zeros(length, dtype=bool),
+            "full": np.ones(length, dtype=bool),
+            "random": rng.random(length) < rng.random(),
+        }[mask]
+        samples = np.resize(np.array(values), np.count_nonzero(accepted))
+        written = [PER_SHOT_HEADER.decode()]
+        cli._write_per_shot_batch(written.append, first_shot, accepted, samples)
+        # row by row, so that a failure reports the first wrong row rather than diffing the whole text
+        got = "".join(written).split("\r\n")
+        want = reference_per_shot([(first_shot, accepted, samples)]).split("\r\n")
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+        assert len(got) == len(want)
+
+    def test_each_write_is_bounded(self, capsys, tmp_path, monkeypatch):
+        # Writing a whole batch in one call raised the benchmark's mc_per_shot peak_rss_mb
+        # from 47.1 to 51.6 MB; two 1000-row blocks per call (about 25 KB) keep it at or below
+        # the per-row writer's. The largest write must not grow with the batch.
+        write_batch = cli._write_per_shot_batch
+
+        def largest_write(batch_size):
+            monkeypatch.setattr(shots, "BATCH_SIZE", batch_size)
+            sizes = []
+            monkeypatch.setattr(
+                cli, "_write_per_shot_batch",
+                lambda write, *batch: write_batch(lambda text: sizes.append(len(text)) or write(text), *batch),
+            )
+            code, _, _ = run_cli(capsys, "mc", "--shots", str(2 * batch_size), "--per-shot", str(tmp_path / "x.csv"))
+            assert code == 0
+            assert sum(sizes) + len(PER_SHOT_HEADER) == (tmp_path / "x.csv").stat().st_size
+            return max(sizes)
+
+        assert largest_write(shots.BATCH_SIZE) <= 64 * 1024
+        assert largest_write(4 * shots.BATCH_SIZE) <= 64 * 1024
 
     def test_memory_stays_at_one_batch(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(shots, "BATCH_SIZE", 1 << 15)
