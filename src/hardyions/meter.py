@@ -8,12 +8,12 @@ representation: the Gram kernel, the one contraction that computes every
 quadratic form over it, the light-shift displacement and the readout. A
 GaussianMeter, keyed on sigma and its points, holds its centers only as
 the read-only points array: one set, shape (M,), or a batch of sets, shape
-(B, M), with one sigma and one branch layout; kernels, forms and moments
-carry the batch axis, and one set runs the same lines. A GaussianPointer
-is a view on a GaussianMeter and one coefficient per center; read from a
-state, it shares the state's meter and cached kernel. A sampled position
-grid serves as an independent numerical oracle, and a two-level
-pointer reads out the third-ion scheme.
+(B, M), with one sigma; kernels, forms and moments carry the batch axis,
+and one set runs the same lines. A GaussianPointer is a view on a
+GaussianMeter and one coefficient per center; read from a state, it
+shares the state's meter and cached kernel. A sampled position grid
+serves as an independent numerical oracle, and a two-level pointer reads
+out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -107,7 +107,8 @@ class GaussianMeter:
     def __init__(self, sigma: float, centers=(0.0,)) -> None:
         if not (sigma > 0.0) or not math.isfinite(sigma):
             raise ValueError(f"sigma must be a positive finite length, got {sigma}")
-        # couple passes a Fortran-order slice; the Gram contractions over a kernel in that layout run 1.5x slower
+        # a batch given in Fortran order (say, transposed) is copied to C order: the Gram
+        # contractions over a kernel in that layout run 1.5x slower
         points = np.array(centers, dtype=float, order="C")
         if points.ndim not in (1, 2) or not points.size:
             raise ValueError("need at least one branch center, in one set or a batch of sets")
@@ -149,31 +150,21 @@ class GaussianMeter:
         """Displace the branches attached to one internal row by shift; the new (amplitudes, meter).
 
         A finite set of branch centers is not closed under translation, so
-        this coupling has no finite square matrix; it acts by moving centers.
-        It is nevertheless exactly norm-preserving, because the Gram kernel
-        depends only on center differences. A branch that lands on a center
-        merges with it. A batch shift moves each center set by its own amount
-        and the sets share the amplitudes, so they must merge the same
-        branches: mixing zero and nonzero shifts raises ValueError.
+        this coupling has no finite square matrix; it acts by moving centers:
+        the displaced branches are appended after the old centers, where the
+        row keeps coefficient 0, even where one lands on an old center. It is
+        exactly norm-preserving, because the Gram kernel depends only on
+        center differences (coincident centers included). A batch shift moves
+        each center set by its own amount, and the sets share the amplitudes.
         """
         dim = self.dim
         moved = amplitudes[target].nonzero()[0]
         dest = self.points[..., moved] + np.asarray(shift)[..., None]
         joint = np.empty(dest.shape[:-1] + (dim + len(moved),))  # the centers, then the destinations
         joint[..., :dim], joint[..., dim:] = self.points, dest
-        # which centers coincide must be the same in every set; the layout maps each to its first equal center
-        equal = joint[..., :, None] == joint[..., None, :]
-        first = equal.reshape(-1, *equal.shape[-2:])[0]
-        if not (equal == first).all():
-            raise ValueError("center sets of a batch must merge the same branches; zero and nonzero shifts do not")
-        layout = first.argmax(axis=-1).tolist()
-        keep = [*range(dim), *(j for j in range(dim, len(layout)) if layout[j] == j)]
-        amps = np.zeros((len(amplitudes), len(keep)), dtype=complex)
-        amps[:, :dim] = amplitudes
-        amps[target, :] = 0.0
-        for k, col in enumerate(moved.tolist()):
-            amps[target, keep.index(layout[dim + k])] += amplitudes[target, col]
-        return amps, GaussianMeter(self.sigma, joint[..., keep])
+        amps = np.concatenate((amplitudes, np.zeros((len(amplitudes), len(moved)))), axis=1)
+        amps[target, dim:], amps[target, :dim] = amplitudes[target, moved], 0.0
+        return amps, GaussianMeter(self.sigma, joint)
 
 
 @dataclass(frozen=True)
@@ -270,12 +261,8 @@ def gaussian_moments(p: GaussianPointer):
     with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
         kernels = np.array((gram, gram * mid, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)))
         den, mean, second = _gram_forms(c, kernels, c)[..., 0].astype(complex)  # norm, <x>, <x^2> forms
-        # the forms over den as CPython divides complex numbers (numpy rounds differently); a
-        # Hermitian form's imaginary part is rounding-level, so CPython's |re| >= |im| branch applies
-        ratio = den.imag / den.real
-        scale = den.real + den.imag * ratio
-        mean, mean_imag = (mean.real + mean.imag * ratio) / scale, (mean.imag - mean.real * ratio) / scale
-        second, second_imag = (second.real + second.imag * ratio) / scale, (second.imag - second.real * ratio) / scale
+        mean, mean_imag = mean.real / den.real, mean.imag / den.real
+        second, second_imag = second.real / den.real, second.imag / den.real
         variance = second - mean * mean
     # count_nonzero is "any" for one pointer (numpy scalars) and a batch alike
     if np.count_nonzero(den.real < NORM_FLOOR):

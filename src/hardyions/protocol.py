@@ -279,9 +279,9 @@ def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
 
     Post-selects |gg> and reports the conditional pointer, which is
     proportional to phi(x + a) - 2 phi(x): coefficients (1, -2) on centers
-    (-a, 0) up to normalization. An array of a (all zero or all positive)
-    is one batch run: the amplitudes evolve once, each a moves its own
-    center set, and every report field but the weak values is a list.
+    (-a, 0) up to normalization. An array of non-negative a is one batch
+    run: the amplitudes evolve once, each a moves its own center set, and
+    every report field but the weak values is a list.
     """
     a = np.asarray(a, dtype=float)
     if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:

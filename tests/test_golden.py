@@ -35,6 +35,8 @@ CASES = {
     "weak-near-sign-change-json": ["weak", "--a", "2.35482", "--format", "json"],
     "weak-sigma1.3": ["weak", "--sigma", "1.3"],
     "weak-sigma1.3-json": ["weak", "--sigma", "1.3", "--format", "json"],
+    "weak-a0": ["weak", "--a", "0"],
+    "weak-a0-json": ["weak", "--a", "0", "--format", "json"],
     "scan-csv": ["scan"],
     "scan-json": ["scan", "--min", "0.1", "--max", "4.0", "--steps", "25", "--format", "json"],
     "scan-sign-change-csv": ["scan", "--min", "2.3", "--max", "2.4", "--steps", "101"],
@@ -47,6 +49,7 @@ CASES = {
     "mc-json": ["mc", "--a", "0.05", "--shots", "300000", "--seed", "3"],
     "mc-text": ["mc", "--a", "0.2", "--shots", "20000", "--seed", "7", "--format", "text"],
     "mc-none-accepted": ["mc", "--shots", "1", "--seed", "0"],
+    "mc-a0": ["mc", "--a", "0", "--shots", "20000", "--seed", "2"],
     "mc-per-shot": ["mc", "--shots", "140000", "--seed", "5", "--per-shot", PER_SHOT],
     "strong-text": ["strong"],
     "strong-json": ["strong", "--format", "json"],

@@ -123,7 +123,7 @@ class TestGaussianMoments:
                 assert quad > 0.0
 
     def test_batch_kernel_in_c_order(self):
-        # couple slices its joint centers in Fortran order; the coupled meter keeps them, and its kernel, in C order
+        # the coupled meter keeps its centers, and its kernel, in C order
         final = weak_gaussian_experiment(np.linspace(0.01, 5.0, 50), 1.0).run()[0]
         assert final.meter.points.flags.c_contiguous
         assert final.meter.gram.flags.c_contiguous

@@ -115,19 +115,19 @@ class TestLightShift:
             assert amplitude(state, label, 1) == 0.0
 
     def test_zero_shift_is_identity(self):
+        # the |gg> branch is appended on the center it left: a second center, the same state
         state = self.intermediate()
         out = apply_unitary(state, light_shift_meter(0.0))
-        assert out.meter == state.meter
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+        assert out.meter.points.tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(out.row_norms, state.row_norms)
 
     def test_shift_then_unshift(self):
+        # the |gg> branch returns to the original center as a third one; the norms come back bit for bit
         state = self.intermediate()
         shifted = apply_unitary(state, light_shift_meter(0.4))
         back = apply_unitary(shifted, light_shift_meter(-0.4))
-        # the |gg> branch returns to the original center; the added one is left empty
-        assert back.meter.points.tolist() == [0.0, -0.4]
-        np.testing.assert_array_equal(back.amplitudes[:, :1], state.amplitudes)
-        assert np.all(back.amplitudes[:, 1] == 0.0)
+        assert back.meter.points.tolist() == [0.0, -0.4, 0.0]
+        np.testing.assert_array_equal(back.row_norms, state.row_norms)
 
     def test_requires_gaussian_meter(self):
         with pytest.raises(ValueError, match="GaussianMeter"):
