@@ -19,6 +19,7 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import InvariantError, PostSelectionError
+from .meter import check_sigma
 from .protocol import (
     RunConfig,
     run_ideal,
@@ -47,14 +48,9 @@ _PARAMS = {
 _CONFIG_TYPES = {**{key: kind for key, (kind, _) in _PARAMS.items()}, "format": str}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every call; do not modify it."""
-    return _parsers()[0]
-
-
 @cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and each command's own parser, by command name."""
+    """The command-line parser and each command's own parser, by command name; shared, do not modify them."""
     parser = argparse.ArgumentParser(
         prog="hardyions",
         description="Two-ion interferometer with weakly coupled meters: "
@@ -191,17 +187,13 @@ def _cmd_scan(args, opts):
         raise ValueError(f"need at most {MAX_SCAN_STEPS} scan steps, got {args.steps}")
     if not 0.0 < args.min < args.max:
         raise ValueError(f"need 0 < min < max, got [{args.min}, {args.max}]")
-    sigma = opts["sigma"]
+    check_sigma(opts["sigma"])  # every column is a ratio, so the output does not depend on a valid sigma
     # halves, so that max - min cannot overflow; the same bits wherever the halves are normal
     ratios = [args.min + 2.0 * ((args.max / 2.0 - args.min / 2.0) * i / (args.steps - 1)) for i in range(args.steps)]
-    lengths = [aos * sigma for aos in ratios]
-    if 0.0 in lengths:  # each row divides by its length
-        aos = ratios[lengths.index(0.0)]
-        raise ValueError(f"a = a/sigma * sigma underflows to 0 at a/sigma = {aos!r}, sigma = {sigma!r}")
-    report = run_weak_gaussian(np.array(lengths), sigma)
-    columns = (ratios, lengths, report.pointer_mean, report.closed_form_mean, report.postselection_probability)
-    rows = [{"a_over_sigma": aos, "mean_over_a": mean / a, "closed_form_over_a": closed / a, "probability": p}
-            for aos, a, mean, closed, p in zip(*columns)]
+    report = run_weak_gaussian(np.array(ratios))
+    columns = (ratios, report.pointer_mean, report.closed_form_mean, report.postselection_probability)
+    rows = [{"a_over_sigma": aos, "mean_over_a": mean / aos, "closed_form_over_a": closed / aos, "probability": p}
+            for aos, mean, closed, p in zip(*columns)]
     lines = [",".join(rows[0]), *(",".join(map(repr, row.values())) for row in rows)]
     return rows, "\n".join(lines) + "\n", EXIT_OK
 

@@ -45,6 +45,13 @@ GRID_PADDING_SIGMAS = 6.0
 _LD = np.longdouble
 
 
+def check_sigma(sigma: float) -> float:
+    """sigma as a float; ValueError unless it is a positive finite length."""
+    if not (sigma > 0.0) or not math.isfinite(sigma):
+        raise ValueError(f"sigma must be a positive finite length, got {sigma}")
+    return float(sigma)
+
+
 def gauss_kernel(delta, sigma: float):
     """Overlap exp(-delta^2 / (8 sigma^2)) of two width-sigma Gaussians separated by delta."""
     d = np.asarray(delta, dtype=_LD)
@@ -105,8 +112,6 @@ class GaussianMeter:
     """
 
     def __init__(self, sigma: float, centers=(0.0,)) -> None:
-        if not (sigma > 0.0) or not math.isfinite(sigma):
-            raise ValueError(f"sigma must be a positive finite length, got {sigma}")
         # a batch given in Fortran order (say, transposed) is copied to C order: the Gram
         # contractions over a kernel in that layout run 1.5x slower
         points = np.array(centers, dtype=float, order="C")
@@ -115,7 +120,7 @@ class GaussianMeter:
         if not all(map(math.isfinite, points.ravel().tolist())):
             raise ValueError("non-finite branch center")
         points.flags.writeable = False  # the key below is taken once
-        self.sigma, self.points, self.dim = float(sigma), points, points.shape[-1]
+        self.sigma, self.points, self.dim = check_sigma(sigma), points, points.shape[-1]
         self._key = (self.sigma, points.shape, points.tobytes())
 
     def __eq__(self, other) -> bool:
@@ -252,14 +257,15 @@ def gaussian_norm_sq(p: GaussianPointer):
     return p.meter.row_norms_sq(p.coefficients[..., None, :])[..., 0].tolist()
 
 
-def gaussian_moments(p: GaussianPointer):
-    """Exact (<x>, <x^2>) of the normalized pointer (lists over a batch); ValueError on overflow."""
+def gaussian_moments(p: GaussianPointer, unit: float = 1.0):
+    """Exact (<x> unit, <x^2> unit^2) of the normalized pointer (lists over a batch); ValueError on overflow."""
     c = p.coefficients[..., None, :]
     gram = p.meter.gram
     half = p.meter.points / 2.0
-    mid = (half[..., :, None] + half[..., None, :]).astype(_LD)
     with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
-        kernels = np.array((gram, gram * mid, gram * (_LD(p.sigma) * _LD(p.sigma) + mid * mid)))
+        # every length in the kernels times unit, in their precision: the moments round once, as reported
+        mid, width = (half[..., :, None] + half[..., None, :]).astype(_LD) * _LD(unit), _LD(p.sigma) * _LD(unit)
+        kernels = np.array((gram, gram * mid, gram * (width * width + mid * mid)))
         den, mean, second = _gram_forms(c, kernels, c)[..., 0].astype(complex)  # norm, <x>, <x^2> forms
         mean, mean_imag = mean.real / den.real, mean.imag / den.real
         second, second_imag = second.real / den.real, second.imag / den.real

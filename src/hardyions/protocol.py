@@ -11,10 +11,11 @@ evolved once per meter and kept (intermediate_state); every run, and the
 weak values of the intermediate projectors, evolve on from that state.
 The ideal run and the strong comparison take no parameter at all, so each
 is evaluated once per process, on first use; every call returns fresh
-copies of its tables. A light shift by an array of a is one batch run on
-the same lines: the amplitudes evolve once and only the meter's centers
-carry the batch. Without a coupling, post-selecting |gg> succeeds with
-probability 1/16.
+copies of its tables. A light shift runs in units of sigma, on the one
+unit Gaussian meter; sigma scales only reported lengths. An array of a is
+one batch run on the same lines: the amplitudes evolve once and only the
+meter's centers carry the batch. Without a coupling, post-selecting |gg>
+succeeds with probability 1/16.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import meter as meter_mod
 from .errors import InvariantError, PostSelectionError
-from .meter import NORM_FLOOR, GaussianPointer, gaussian_moments
+from .meter import NORM_FLOOR, GaussianPointer, check_sigma, gaussian_moments
 
 # Kept bound here, where the benchmark's tracer (bench/spans.py) wraps them.
 from .meter import gaussian_mean_x, gaussian_second_moment  # noqa: F401
@@ -76,9 +77,7 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be a positive finite length, got {self.sigma}")
-        if self.sigma * self.sigma < sys.float_info.min:  # the pointer density needs a normal sigma^2
+        if check_sigma(self.sigma) * self.sigma < sys.float_info.min:  # below it, squared samples underflow
             raise ValueError(f"sigma^2 underflows a double, got sigma = {self.sigma}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError(f"a must be a non-negative finite length, got {self.a}")
@@ -201,8 +200,9 @@ IDEAL = Experiment(NoMeter(), ())
 
 
 def weak_gaussian_experiment(a, sigma: float = 1.0) -> Experiment:
-    """Relative-coordinate Gaussian meter, its |gg> branch displaced by -a (each a of an array: a batch)."""
-    return Experiment(GaussianMeter(sigma), (light_shift_meter(a),))
+    """The unit Gaussian meter, its |gg> branch displaced by -a / sigma (each a of an array: a batch)."""
+    with np.errstate(over="ignore"):  # light_shift_meter rejects an a / sigma that overflows
+        return Experiment(GaussianMeter(1.0), (light_shift_meter(np.divide(a, check_sigma(sigma))),))
 
 
 def third_ion_experiment(theta: float) -> Experiment:
@@ -268,9 +268,7 @@ def closed_form_mean(a, sigma: float = 1.0):
     Positive (equal to +a) for small a, zero at a^2 = 8 ln(2) sigma^2,
     negative beyond. A float, or a list for an array of a.
     """
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    g = meter_mod.gauss_kernel(a, sigma)  # the quotient inherits the kernel's precision
+    g = meter_mod.gauss_kernel(a, check_sigma(sigma))  # the quotient inherits the kernel's precision
     return np.asarray(-a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g), dtype=float).tolist()
 
 
@@ -279,15 +277,16 @@ def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
 
     Post-selects |gg> and reports the conditional pointer, which is
     proportional to phi(x + a) - 2 phi(x): coefficients (1, -2) on centers
-    (-a, 0) up to normalization. An array of non-negative a is one batch
-    run: the amplitudes evolve once, each a moves its own center set, and
-    every report field but the weak values is a list.
+    (-a / sigma, 0) up to normalization, in units of sigma; the mean and
+    variance are lengths. An array of non-negative a is one batch run: the
+    amplitudes evolve once, each a moves its own center set, and every
+    report field but the weak values is a list.
     """
     a = np.asarray(a, dtype=float)
     if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:
         raise ValueError(f"a must be a non-negative finite length, got {bad[0]}")
     _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
-    mean, second = gaussian_moments(pointer)
+    mean, second = gaussian_moments(pointer, sigma)
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
@@ -302,11 +301,12 @@ def weak_limit_check(a: float, sigma: float = 1.0) -> float:
     """L2 distance between the normalized conditional pointer and -phi(x - a).
 
     For a much smaller than sigma, phi(x + a) - 2 phi(x) is -phi(x - a) to
-    first order, so the distance scales as (a / sigma)^2.
+    first order, so the distance, taken in units of sigma, scales as (a / sigma)^2.
     """
-    g = float(meter_mod.gauss_kernel(a, sigma))
+    t = a / check_sigma(sigma)
+    g = float(meter_mod.gauss_kernel(t, 1.0))
     norm = 1.0 / math.sqrt(5.0 - 4.0 * g)
-    difference = GaussianPointer(sigma, ((norm, -a), (-2.0 * norm, 0.0), (1.0, a)))
+    difference = GaussianPointer(1.0, ((norm, -t), (-2.0 * norm, 0.0), (1.0, t)))
     return math.sqrt(meter_mod.gaussian_norm_sq(difference))  # row norms are never negative
 
 

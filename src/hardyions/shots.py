@@ -3,11 +3,12 @@
 A shot is accepted (post-selected on |gg>) when its uniform is below P(gg),
 the uniform with which Generator.choice would pick one of the nine outcomes;
 accepted shots draw a pointer position from |phi_c(x)|^2 by inverse-CDF
-sampling on the grid oracle. A guide table (Chen & Asau, AIIE Trans. 6, 163
-(1974)) finds each uniform's CDF interval without sorting, and the position
-is interpolated with np.interp's own arithmetic, so it equals np.interp bit
-for bit. Randomness comes from numpy's default generator (PCG64), seeded per
-batch from (seed, batch_index), so results are reproducible bit for bit and
+sampling on the grid oracle, built in units of sigma and scaled to lengths
+once. A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)) finds each
+uniform's CDF interval without sorting, and the position is interpolated
+with np.interp's own arithmetic, so it equals np.interp bit for bit.
+Randomness comes from numpy's default generator (PCG64), seeded per batch
+from (seed, batch_index), so results are reproducible bit for bit and
 batches may be evaluated independently and merged in index order.
 """
 
@@ -47,15 +48,15 @@ class ShotResult:
         return dict(vars(self))  # every field is a JSON scalar, in declaration order
 
 
-def _inverse_cdf_table(pointer: GaussianPointer) -> tuple[np.ndarray, np.ndarray]:
-    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS * pointer.sigma
-    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS * pointer.sigma
+def _inverse_cdf_table(pointer: GaussianPointer, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS
+    hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS
     grid = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
     xs = grid.xs
     density = np.abs(grid.values) ** 2
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
-    return cdf, xs
+    return cdf, xs * sigma
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,15 @@ class BatchTotals:
 
 
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
-    """Evolve the weak experiment once for its acceptance threshold and conditional pointer CDF."""
+    """Evolve the weak experiment once, in units of sigma, for its acceptance threshold and pointer CDF."""
     final, _, pointer = weak_gaussian_experiment(config.a, config.sigma).run()
-    gaussian_moments(pointer)  # raises, before any grid is evaluated, where the moments overflow a double
+    gaussian_moments(pointer, config.sigma)  # raises, before any grid is evaluated, where the moments overflow
     table = internal_probabilities(final)
     probabilities = np.array([table[label] for label in BASIS_LABELS])
     # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
     outcome_cdf = (probabilities / probabilities.sum()).cumsum()
     outcome_cdf /= outcome_cdf[-1]
-    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer))
+    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer, config.sigma))
 
 
 class batch_plan(Sequence):

@@ -1,14 +1,21 @@
-"""Property tests: a batch run of the weak Gaussian experiment is B scalar runs, bit for bit."""
+"""Property tests: a batch run of the weak Gaussian experiment is B scalar runs, bit for bit,
+and a run depends on sigma only through a/sigma: the engine works in units of sigma."""
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyions import cli
 from hardyions.meter import evaluate_gaussian, to_grid
-from hardyions.protocol import run_weak_gaussian
+from hardyions.protocol import run_weak_gaussian, weak_limit_check
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+SIGMAS = st.one_of(st.floats(0.05, 20.0), st.sampled_from([0.37, 3.1, 1e-100, 1e100]))
 
 REPORTED = ("postselection_probability", "pointer_mean", "pointer_variance", "closed_form_mean")
 
@@ -38,3 +45,33 @@ def test_batch_pointer_has_no_branch_list():
     for read in (pointer.to_json_dict, lambda: to_grid(pointer), lambda: evaluate_gaussian(pointer, np.zeros(3))):
         with pytest.raises(ValueError, match="batch pointer"):
             read()
+
+
+def scan_output(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["scan", *argv]) == 0
+    return out.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(
+    sigma=SIGMAS,
+    low=st.floats(0.01, 6.0),
+    width=st.floats(0.01, 6.0),
+    steps=st.integers(2, 20),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_scan_output_does_not_depend_on_sigma(sigma, low, width, steps, fmt):
+    argv = ["--min", repr(low), "--max", repr(low + width), "--steps", str(steps), "--format", fmt]
+    assert scan_output(*argv, "--sigma", repr(sigma)) == scan_output(*argv)
+
+
+@PROPERTY_SETTINGS
+@given(sigma=SIGMAS, ratios=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=50))
+def test_unitless_results_depend_only_on_a_over_sigma(sigma, ratios):
+    lengths = np.array(ratios) * sigma
+    probability = run_weak_gaussian(lengths, sigma).postselection_probability
+    assert probability == run_weak_gaussian(lengths / sigma).postselection_probability
+    for a in lengths.tolist():
+        assert weak_limit_check(a, sigma) == weak_limit_check(a / sigma)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestWeak:
         assert lines["closed-form mean"] == "5e-322"
         assert abs(float(lines["pointer mean"]) - 5e-322) <= 2 * 5e-324
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["--a", "1", "--sigma", "1e160"], 2), (["--a", "1e200", "--sigma", "1e-100"], 0)]
+    )
+    def test_extreme_sigma_still_reports_lengths(self, capsys, argv, code):
+        # sigma scales the moments in extended precision, before they round to a double: at
+        # sigma = 1e160 the reported variance (sigma^2 = 1e320) overflows one; at a/sigma = 1e200
+        # the unit meter's <x^2>, about 2e399, fits only the extended precision, and the reported
+        # variance, about 1.6e199, fits a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(capsys, "weak", *argv, "--format", "json")
+        if code:
+            assert result == (2, "", "error: pointer moments overflow a double\n")
+        else:
+            assert result[0::2] == (0, "")
+            payload = json.loads(result[1], parse_constant=lambda constant: pytest.fail(f"not JSON: {constant}"))
+            assert payload["pointer_mean"] == payload["closed_form_mean"] == -2e99
+            assert math.isfinite(payload["pointer_variance"])
+
     def test_midpoint_overflow_prints_only_the_error(self):
         # a fresh interpreter with the default warning filters, as a user runs it: a numpy
         # overflow warning would reach stderr ahead of the error line
@@ -140,14 +160,21 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "low, high",
-        [("1e-300", "2e-300"), ("1e-300", "1.0")],  # every point underflows; only the first does
+        [("1e-300", "2e-300"), ("1e-300", "1.0")],  # a/sigma * 1e-100 underflows at every point; at the first only
         ids=["all", "some"],
     )
-    def test_underflowing_length_rejected(self, capsys, low, high):
-        code, out, err = run_cli(capsys, "scan", "--min", low, "--max", high, "--steps", "3", "--sigma", "1e-100")
-        assert code == 2
-        assert out == ""
-        assert err == "error: a = a/sigma * sigma underflows to 0 at a/sigma = 1e-300, sigma = 1e-100\n"
+    def test_ratios_that_underflow_as_lengths_run(self, capsys, low, high):
+        # every column is a ratio: the rows are those of sigma = 1, though a/sigma * sigma underflows to 0
+        argv = ("scan", "--min", low, "--max", high, "--steps", "3")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv, "--sigma", "1e-100") == expected
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "inf", "nan", "1e-400"])
+    def test_invalid_sigma_still_rejected(self, capsys, sigma):
+        code, out, err = run_cli(capsys, "scan", "--steps", "3", "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sigma must be a positive finite length, got ")
 
     def test_range_near_the_largest_double_does_not_overflow(self, capsys):
         # max - min overflows a double here, though every point of the range is finite
@@ -263,6 +290,22 @@ class TestMonteCarlo:
         payload = json.loads(out, parse_constant=strict)
         assert math.isfinite(payload["sample_mean"])
         assert payload["std_error"] is None or payload["std_error"] > 0.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--a", "0", "--sigma", "1e154"], "the sum of the squared pointer samples overflows a double"),
+            (["--a", "1e154", "--sigma", "2.35482004503"], "the sum of the squared pointer samples overflows a double"),
+            (["--a", "1e-310", "--sigma", "1e154"], "the sum of the squared pointer samples overflows a double"),
+            (["--sigma", "1.7e308"], "pointer moments overflow a double"),
+        ],
+    )
+    def test_huge_lengths_fail_without_a_warning(self, capsys, argv, message):
+        # the sampling grid is in units of sigma, so no position on it overflows; a sum of squared
+        # samples or a moment that overflows a double is a usage error, and nothing warns first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, "mc", *argv, "--shots", "1000") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("per_shot", [False, True])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -524,8 +567,6 @@ class TestPlumbing:
         assert path.stat().st_mode & 0o777 == 0o600
 
     def test_parser_keeps_no_state_between_calls(self, capsys):
-        from hardyions.cli import build_parser
-
         cli._parsers.cache_clear()
         _, alone, _ = run_cli(capsys, "weak")
         code, first, _ = run_cli(capsys, "weak", "--a", "3", "--format", "json")
@@ -534,7 +575,7 @@ class TestPlumbing:
         code, second, _ = run_cli(capsys, "weak")
         assert code == 0
         assert second == alone
-        assert build_parser() is build_parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
 
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -624,7 +665,7 @@ class TestUsage:
         monkeypatch.setattr(cli, "_resolve", lambda args: parsed.append(vars(args).copy()) or resolve(args))
         code, out, err = run_cli(capsys, *argv)
         try:
-            expected = vars(cli.build_parser().parse_args(argv))
+            expected = vars(cli._parsers()[0].parse_args(argv))
         except SystemExit as exc:
             assert (code, out, err) == ((exc.code or 0), *capsys.readouterr())
             assert parsed == []

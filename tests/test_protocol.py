@@ -362,6 +362,38 @@ class TestWeakGaussian:
         assert len(capsys.readouterr().out.splitlines()) == 201
 
 
+class TestUnitsOfSigma:
+    """The weak Gaussian experiment runs on the unit meter; sigma enters where a length is reported."""
+
+    def test_every_sigma_evolves_one_meter(self):
+        intermediate_state.cache_clear()
+        for sigma in (5e-324, 1e-170, 0.37, 1.0, 3.1, 1e100, 1.7e308):
+            experiment = weak_gaussian_experiment(0.5 * sigma, sigma)
+            assert experiment.meter == GaussianMeter(1.0)
+            experiment.final_state()
+        run_weak_gaussian(0.5 * 3.1, 3.1)
+        prepare_experiment(RunConfig(a=0.5 * 0.37, sigma=0.37))
+        assert intermediate_state.cache_info().currsize == 1
+
+    def test_overflowing_a_over_sigma_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                run_weak_gaussian(1e308, 0.5)
+
+    def test_conditional_pointer_is_in_units_of_sigma(self):
+        pointer = run_weak_gaussian(1.7, 2.0).conditional_pointer
+        assert (pointer.sigma, pointer.meter.points.tolist()) == (1.0, [0.0, -0.85])
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_one_sigma_rule(self, sigma):
+        for call in (GaussianMeter, lambda s: RunConfig(sigma=s), lambda s: closed_form_mean(0.5, s),
+                     lambda s: weak_gaussian_experiment(0.5, s), lambda s: run_weak_gaussian(0.5, s),
+                     lambda s: weak_limit_check(0.5, s)):
+            with pytest.raises(ValueError, match="^sigma must be a positive finite length, got "):
+                call(sigma)
+
+
 class TestClosedForm:
     def test_zero_displacement(self):
         assert closed_form_mean(0.0) == 0.0
@@ -377,6 +409,11 @@ class TestClosedForm:
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
             closed_form_mean(0.1, 0.0)
+
+    def test_infinite_sigma_rejected(self):
+        # an infinite sigma gave g = 1 and the mean +a
+        with pytest.raises(ValueError, match="sigma must be a positive finite length"):
+            closed_form_mean(1.0, math.inf)
 
 
 class TestWeakLimit:
