@@ -26,6 +26,7 @@ from .protocol import (
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
+    run_weak_in_units,
 )
 from .shots import run_experiment_mc
 
@@ -168,7 +169,7 @@ def _cmd_ideal(args, opts):
 
 
 def _cmd_weak(args, opts):
-    report = run_weak_gaussian(opts["a"] * opts["sigma"], opts["sigma"])
+    report = run_weak_in_units(opts["a"], opts["sigma"])
     wv = "  ".join(f"{k}: {v.real + 0.0:+.6f}" for k, v in report.weak_values.items())
     text = (
         f"post-selection probability: {report.postselection_probability:.12f}\n"
@@ -257,12 +258,7 @@ def _write_per_shot_batch(write, first_shot, accepted, samples) -> None:
 
 
 def _cmd_mc(args, opts):
-    config = RunConfig(
-        a=opts["a"] * opts["sigma"],
-        sigma=opts["sigma"],
-        shots=opts["shots"],
-        seed=opts["seed"],
-    )
+    config = RunConfig(a=opts["a"] * opts["sigma"], sigma=opts["sigma"], shots=opts["shots"], seed=opts["seed"])
     if args.per_shot:
         # opened before sampling, so an unwritable path fails before any batch is drawn; truncated
         # on open, unlike --out, so that a run killed part-way leaves no old rows after the new
@@ -284,9 +280,7 @@ def _cmd_strong(args, opts):
     report = run_strong_comparison()
     lines = ["state  undisturbed     with gg measurement inserted"]
     for label in report.undisturbed:
-        lines.append(
-            f"{label}     {report.undisturbed[label]:.12f}  {report.disturbed[label]:.12f}"
-        )
+        lines.append(f"{label}     {report.undisturbed[label]:.12f}  {report.disturbed[label]:.12f}")
     lines.append(f"undisturbed total: {sum(report.undisturbed.values()):.12f}")
     lines.append(f"disturbed total:   {sum(report.disturbed.values()):.12f}")
     return report.to_json_dict(), "\n".join(lines) + "\n", EXIT_OK

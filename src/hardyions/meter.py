@@ -246,10 +246,7 @@ class GaussianPointer:
         return tuple(zip(self.coefficients.tolist(), self.meter.points.tolist()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "branches": [[c.real, c.imag, d] for c, d in self.branches],
-        }
+        return {"sigma": self.sigma, "branches": [[c.real, c.imag, d] for c, d in self.branches]}
 
 
 def gaussian_norm_sq(p: GaussianPointer):

@@ -273,25 +273,38 @@ def closed_form_mean(a, sigma: float = 1.0):
 
 
 def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
-    """Weak measurement of the |gg> population via the light-shift meter.
+    """run_weak_in_units at a / sigma, for a light shift a given as a length; the closed form is taken at a."""
+    with np.errstate(over="ignore"):  # an a / sigma that overflows is rejected as infinite
+        t = np.divide(a, check_sigma(sigma))
+    return _weak_report(t, sigma, np.asarray(a, dtype=float))
+
+
+def run_weak_in_units(t, sigma: float = 1.0) -> WeakValueReport:
+    """Weak measurement of the |gg> population via the light-shift meter, at a light shift of t sigma.
 
     Post-selects |gg> and reports the conditional pointer, which is
-    proportional to phi(x + a) - 2 phi(x): coefficients (1, -2) on centers
-    (-a / sigma, 0) up to normalization, in units of sigma; the mean and
-    variance are lengths. An array of non-negative a is one batch run: the
-    amplitudes evolve once, each a moves its own center set, and every
-    report field but the weak values is a list.
+    proportional to phi(x + t) - 2 phi(x) in units of sigma: coefficients
+    (1, -2) on centers (-t, 0) up to normalization. The engine runs at t
+    itself (the path of `weak --a t --sigma s`); the mean and variance are
+    lengths, and the closed form is taken at a = t sigma. An array of
+    non-negative t is one batch run: the amplitudes evolve once, each t
+    moves its own center set, and every report field but the weak values
+    is a list.
     """
-    a = np.asarray(a, dtype=float)
-    if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:
-        raise ValueError(f"a must be a non-negative finite length, got {bad[0]}")
-    _, probability, pointer = weak_gaussian_experiment(a, sigma).run()
-    mean, second = gaussian_moments(pointer, sigma)
+    return _weak_report(t, check_sigma(sigma), None)
+
+
+def _weak_report(t, sigma: float, a) -> WeakValueReport:
+    t = np.asarray(t, dtype=float)
+    if bad := [x for x in t.ravel().tolist() if not 0.0 <= x < math.inf]:
+        raise ValueError(f"a / sigma must be a non-negative finite number, got {bad[0]}")
+    _, probability, pointer = weak_gaussian_experiment(t).run()
+    mean, second = gaussian_moments(pointer, sigma)  # raises where t sigma overflows, before it is formed
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
-        closed_form_mean=closed_form_mean(a, sigma),
+        closed_form_mean=closed_form_mean(t * sigma if a is None else a, sigma),
         pointer_variance=(np.asarray(second) - np.square(mean)).tolist(),
         conditional_pointer=pointer,
     )

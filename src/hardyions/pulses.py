@@ -72,16 +72,11 @@ class CouplingPulseOp:
 
     def __post_init__(self) -> None:
         if self.defect > UNITARITY_TOL:
-            raise InvariantError(
-                f"{self.label} meter block is not unitary (defect {self.defect:.3e})"
-            )
+            raise InvariantError(f"{self.label} meter block is not unitary (defect {self.defect:.3e})")
 
     def apply(self, state: SystemState) -> SystemState:
         if type(state.meter) is not self.meter_type:
-            raise ValueError(
-                f"{self.label} requires a {self.meter_type.__name__}, "
-                f"got {type(state.meter).__name__}"
-            )
+            raise ValueError(f"{self.label} requires a {self.meter_type.__name__}, got {type(state.meter).__name__}")
         return SystemState(*state.meter.couple(state.amplitudes, GG_INDEX, self.action))
 
     def unitarity_defect(self) -> float:
@@ -113,10 +108,8 @@ def annihilation_pulse() -> InternalPulseOp:
     when the pulse fires in the protocol.
     """
     matrix = np.eye(N_INTERNAL, dtype=complex)
-    matrix[_EE, _EE] = 0.0
-    matrix[_FF, _FF] = 0.0
-    matrix[_FF, _EE] = 1.0
-    matrix[_EE, _FF] = -1.0
+    matrix[_EE, _EE] = matrix[_FF, _FF] = 0.0
+    matrix[_FF, _EE], matrix[_EE, _FF] = 1.0, -1.0
     return InternalPulseOp("annihilation_pulse", matrix)
 
 

@@ -1,11 +1,11 @@
 """Distance from the oracle of weak runs at sigma != 1, for this tree against another source tree.
 
-Runs run_weak_gaussian(t * s, s) -- the path `weak --a t --sigma s` takes --
-at 200 seeded t in [0.01, 6] for each s in {0.37, 1.3, 3.1}, once with this
+Runs `weak --a t --sigma s --format json` in-process, through cli.main, at
+200 seeded t in [0.01, 6] for each s in {0.37, 1.3, 3.1}, once with this
 tree's src/ and once with the src/ given by --parent (say, a `git archive`
 of the parent commit). The reference is what the command is asked for:
 bench/oracle.py at the entered a/sigma = t, times s for the mean and s^2 for
-the variance, so the rounding of t * s counts as error. For the mean
+the variance, so a tree that rounds t * s on the way counts that as error. For the mean
 and the variance at each s it prints how many values the tree moved nearer
 the oracle and how many farther, and the worst error of each tree in eps,
 measured as tests/test_oracle.py measures it (the mean relative to kappa).
@@ -36,19 +36,22 @@ def ratios(seed: int) -> list[float]:
 
 
 def outputs(src: Path, seed: int) -> dict:
-    """{sigma: [(t, mean, variance), ...]} from the package under src, in a fresh interpreter."""
+    """{sigma: [(t, mean, variance), ...]} from `weak --a t --sigma s --format json` of the package under src."""
     script = (
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "from hardyions.protocol import run_weak_gaussian\n"
+        "from hardyions import cli\n"
         f"sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
         "from scale_oracle_distance import SIGMAS, ratios\n"
         "rows = {}\n"
         "for s in SIGMAS:\n"
         "    rows[s] = []\n"
         f"    for t in ratios({seed}):\n"
-        "        r = run_weak_gaussian(t * s, s)\n"
-        "        rows[s].append((t, r.pointer_mean, r.pointer_variance))\n"
+        "        out = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            assert cli.main(['weak', '--a', repr(t), '--sigma', repr(s), '--format', 'json']) == 0\n"
+        "        r = json.loads(out.getvalue())\n"
+        "        rows[s].append((t, r['pointer_mean'], r['pointer_variance']))\n"
         "print(json.dumps({repr(s): rows[s] for s in SIGMAS}))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout

@@ -3,6 +3,7 @@ and a run depends on sigma only through a/sigma: the engine works in units of si
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -47,10 +48,10 @@ def test_batch_pointer_has_no_branch_list():
             read()
 
 
-def scan_output(*argv):
+def cli_output(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["scan", *argv]) == 0
+        assert cli.main(list(argv)) == 0
     return out.getvalue()
 
 
@@ -64,7 +65,16 @@ def scan_output(*argv):
 )
 def test_scan_output_does_not_depend_on_sigma(sigma, low, width, steps, fmt):
     argv = ["--min", repr(low), "--max", repr(low + width), "--steps", str(steps), "--format", fmt]
-    assert scan_output(*argv, "--sigma", repr(sigma)) == scan_output(*argv)
+    assert cli_output("scan", *argv, "--sigma", repr(sigma)) == cli_output("scan", *argv)
+
+
+@PROPERTY_SETTINGS
+@given(sigma=SIGMAS, ratio=st.floats(0.0, 6.0))
+def test_weak_probability_does_not_depend_on_sigma(sigma, ratio):
+    # the command hands the engine the entered a/sigma itself, not a/sigma * sigma / sigma
+    argv = ["weak", "--a", repr(ratio), "--format", "json"]
+    scaled, unit = (json.loads(cli_output(*argv, *extra)) for extra in (["--sigma", repr(sigma)], []))
+    assert scaled["postselection_probability"] == unit["postselection_probability"]
 
 
 @PROPERTY_SETTINGS

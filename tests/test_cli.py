@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hardyions
 from hardyions import cli, shots
 from hardyions.cli import main
-from hardyions.protocol import RunConfig
+from hardyions.protocol import RunConfig, run_weak_gaussian, run_weak_in_units
 from test_golden import CASES, GOLDEN, PER_SHOT, x87_only
 
 PER_SHOT_HEADER = b"shot,accepted,x_sample\r\n"
@@ -105,6 +105,15 @@ class TestWeak:
             payload = json.loads(result[1], parse_constant=lambda constant: pytest.fail(f"not JSON: {constant}"))
             assert payload["pointer_mean"] == payload["closed_form_mean"] == -2e99
             assert math.isfinite(payload["pointer_variance"])
+
+    @pytest.mark.parametrize("ratio, sigma", [(1.7, 3.1), (0.7, 0.37)])
+    def test_engine_runs_the_entered_ratio(self, capsys, ratio, sigma):
+        assert ratio * sigma / sigma != ratio  # a round trip through the length would move the engine
+        _, out, _ = run_cli(capsys, "weak", "--a", repr(ratio), "--sigma", repr(sigma), "--format", "json")
+        report = run_weak_in_units(ratio, sigma)
+        assert report.conditional_pointer.meter.points.tolist() == [0.0, -ratio]
+        assert json.loads(out) == report.to_json_dict()
+        assert report.postselection_probability == run_weak_gaussian(ratio).postselection_probability
 
     def test_midpoint_overflow_prints_only_the_error(self):
         # a fresh interpreter with the default warning filters, as a user runs it: a numpy

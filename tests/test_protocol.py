@@ -3,7 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +32,14 @@ from hardyions.protocol import (
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
+    run_weak_in_units,
     third_ion_excited_population,
     third_ion_experiment,
     weak_gaussian_experiment,
     weak_limit_check,
     weak_values_postselected,
 )
-from hardyions.pulses import beamsplitter
+from hardyions.pulses import beamsplitter, light_shift_meter
 from hardyions.shots import prepare_experiment, run_experiment_mc
 from hardyions.statecore import (
     BASIS_LABELS,
@@ -128,8 +129,8 @@ class TestEngine:
         [
             IDEAL,
             weak_gaussian_experiment(0.7, 1.0),
-            weak_gaussian_experiment(0.7, 1.3),
-            weak_gaussian_experiment(0.7, 2.0),
+            Experiment(GaussianMeter(1.3), (light_shift_meter(0.7),)),  # a meter that is not the unit one
+            Experiment(GaussianMeter(2.0), (light_shift_meter(0.7),)),
             third_ion_experiment(0.4),
         ],
         ids=["NoMeter", "Gaussian1", "Gaussian1.3", "Gaussian2", "QubitMeter"],
@@ -381,6 +382,16 @@ class TestUnitsOfSigma:
             with pytest.raises(ValueError):
                 run_weak_gaussian(1e308, 0.5)
 
+    def test_a_length_enters_through_its_ratio(self):
+        a, sigma = 1.7 * 3.1, 3.1
+        by_length, by_ratio = run_weak_gaussian(a, sigma), run_weak_in_units(a / sigma, sigma)
+        assert by_length == replace(by_ratio, closed_form_mean=closed_form_mean(a, sigma))
+
+    @pytest.mark.parametrize("ratio", [-0.1, math.inf, math.nan, [0.5, -1.0]])
+    def test_invalid_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="^a / sigma must be a non-negative finite number, got "):
+            run_weak_in_units(ratio, 2.0)
+
     def test_conditional_pointer_is_in_units_of_sigma(self):
         pointer = run_weak_gaussian(1.7, 2.0).conditional_pointer
         assert (pointer.sigma, pointer.meter.points.tolist()) == (1.0, [0.0, -0.85])
@@ -389,7 +400,7 @@ class TestUnitsOfSigma:
     def test_one_sigma_rule(self, sigma):
         for call in (GaussianMeter, lambda s: RunConfig(sigma=s), lambda s: closed_form_mean(0.5, s),
                      lambda s: weak_gaussian_experiment(0.5, s), lambda s: run_weak_gaussian(0.5, s),
-                     lambda s: weak_limit_check(0.5, s)):
+                     lambda s: run_weak_in_units(0.5, s), lambda s: weak_limit_check(0.5, s)):
             with pytest.raises(ValueError, match="^sigma must be a positive finite length, got "):
                 call(sigma)
 
