@@ -33,7 +33,6 @@ from .protocol import (
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
-    run_weak_in_units,
     third_ion_excited_population,
     third_ion_experiment,
     weak_gaussian_experiment,

@@ -26,7 +26,6 @@ from .protocol import (
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
-    run_weak_in_units,
 )
 from .shots import run_experiment_mc
 
@@ -169,7 +168,7 @@ def _cmd_ideal(args, opts):
 
 
 def _cmd_weak(args, opts):
-    report = run_weak_in_units(opts["a"], opts["sigma"])
+    report = run_weak_gaussian(opts["a"], opts["sigma"])
     wv = "  ".join(f"{k}: {v.real + 0.0:+.6f}" for k, v in report.weak_values.items())
     text = (
         f"post-selection probability: {report.postselection_probability:.12f}\n"
@@ -258,7 +257,7 @@ def _write_per_shot_batch(write, first_shot, accepted, samples) -> None:
 
 
 def _cmd_mc(args, opts):
-    config = RunConfig(a=opts["a"] * opts["sigma"], sigma=opts["sigma"], shots=opts["shots"], seed=opts["seed"])
+    config = RunConfig(a=opts["a"], sigma=opts["sigma"], shots=opts["shots"], seed=opts["seed"])
     if args.per_shot:
         # opened before sampling, so an unwritable path fails before any batch is drawn; truncated
         # on open, unlike --out, so that a run killed part-way leaves no old rows after the new

@@ -11,11 +11,11 @@ evolved once per meter and kept (intermediate_state); every run, and the
 weak values of the intermediate projectors, evolve on from that state.
 The ideal run and the strong comparison take no parameter at all, so each
 is evaluated once per process, on first use; every call returns fresh
-copies of its tables. A light shift runs in units of sigma, on the one
-unit Gaussian meter; sigma scales only reported lengths. An array of a is
-one batch run on the same lines: the amplitudes evolve once and only the
-meter's centers carry the batch. Without a coupling, post-selecting |gg>
-succeeds with probability 1/16.
+copies of its tables. Every entry takes the light shift a in units of
+sigma and runs it on the one unit Gaussian meter; sigma scales only
+reported lengths. An array of a is one batch run on the same lines: the
+amplitudes evolve once and only the meter's centers carry the batch.
+Without a coupling, post-selecting |gg> succeeds with probability 1/16.
 """
 
 from __future__ import annotations
@@ -69,7 +69,10 @@ RECOMBINE = BEAMSPLITTERS
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of one experiment run; lengths share the unit of sigma."""
+    """Parameters of one experiment run: the light shift a in units of sigma, and sigma.
+
+    sigma scales only the lengths that leave the engine: the pointer samples.
+    """
 
     a: float = 0.05
     sigma: float = 1.0
@@ -79,8 +82,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if check_sigma(self.sigma) * self.sigma < sys.float_info.min:  # below it, squared samples underflow
             raise ValueError(f"sigma^2 underflows a double, got sigma = {self.sigma}")
-        if self.a < 0.0 or not math.isfinite(self.a):
-            raise ValueError(f"a must be a non-negative finite length, got {self.a}")
+        check_a(self.a)
         if self.shots < 1:
             raise ValueError(f"need at least one shot, got {self.shots}")
         if self.seed < 0:
@@ -199,10 +201,17 @@ class Experiment:
 IDEAL = Experiment(NoMeter(), ())
 
 
-def weak_gaussian_experiment(a, sigma: float = 1.0) -> Experiment:
-    """The unit Gaussian meter, its |gg> branch displaced by -a / sigma (each a of an array: a batch)."""
-    with np.errstate(over="ignore"):  # light_shift_meter rejects an a / sigma that overflows
-        return Experiment(GaussianMeter(1.0), (light_shift_meter(np.divide(a, check_sigma(sigma))),))
+def check_a(a) -> np.ndarray:
+    """a, or each a of an array, as doubles; raises unless it lies in [0, inf)."""
+    a = np.asarray(a, dtype=float)
+    if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:
+        raise ValueError(f"a must be a non-negative finite number of sigmas, got {bad[0]}")
+    return a
+
+
+def weak_gaussian_experiment(a) -> Experiment:
+    """The unit Gaussian meter, its |gg> branch displaced by -a, a in units of sigma (each a of an array: a batch)."""
+    return Experiment(GaussianMeter(1.0), (light_shift_meter(a),))
 
 
 def third_ion_experiment(theta: float) -> Experiment:
@@ -273,53 +282,39 @@ def closed_form_mean(a, sigma: float = 1.0):
 
 
 def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
-    """run_weak_in_units at a / sigma, for a light shift a given as a length; the closed form is taken at a."""
-    with np.errstate(over="ignore"):  # an a / sigma that overflows is rejected as infinite
-        t = np.divide(a, check_sigma(sigma))
-    return _weak_report(t, sigma, np.asarray(a, dtype=float))
-
-
-def run_weak_in_units(t, sigma: float = 1.0) -> WeakValueReport:
-    """Weak measurement of the |gg> population via the light-shift meter, at a light shift of t sigma.
+    """Weak measurement of the |gg> population via the light-shift meter, at a light shift a in units of sigma.
 
     Post-selects |gg> and reports the conditional pointer, which is
-    proportional to phi(x + t) - 2 phi(x) in units of sigma: coefficients
-    (1, -2) on centers (-t, 0) up to normalization. The engine runs at t
-    itself (the path of `weak --a t --sigma s`); the mean and variance are
-    lengths, and the closed form is taken at a = t sigma. An array of
-    non-negative t is one batch run: the amplitudes evolve once, each t
-    moves its own center set, and every report field but the weak values
-    is a list.
+    proportional to phi(x + a) - 2 phi(x) in units of sigma: coefficients
+    (1, -2) on centers (-a, 0) up to normalization. The engine runs at a
+    itself; sigma scales the reported mean and variance, and the closed
+    form is taken at the length a * sigma. An array of a is one batch run:
+    the amplitudes evolve once, each a moves its own center set, and every
+    report field but the weak values is a list.
     """
-    return _weak_report(t, check_sigma(sigma), None)
-
-
-def _weak_report(t, sigma: float, a) -> WeakValueReport:
-    t = np.asarray(t, dtype=float)
-    if bad := [x for x in t.ravel().tolist() if not 0.0 <= x < math.inf]:
-        raise ValueError(f"a / sigma must be a non-negative finite number, got {bad[0]}")
-    _, probability, pointer = weak_gaussian_experiment(t).run()
-    mean, second = gaussian_moments(pointer, sigma)  # raises where t sigma overflows, before it is formed
+    check_sigma(sigma)
+    a = check_a(a)
+    _, probability, pointer = weak_gaussian_experiment(a).run()
+    mean, second = gaussian_moments(pointer, sigma)  # raises where a sigma overflows, before it is formed
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
-        closed_form_mean=closed_form_mean(t * sigma if a is None else a, sigma),
+        closed_form_mean=closed_form_mean(a * sigma, sigma),
         pointer_variance=(np.asarray(second) - np.square(mean)).tolist(),
         conditional_pointer=pointer,
     )
 
 
-def weak_limit_check(a: float, sigma: float = 1.0) -> float:
-    """L2 distance between the normalized conditional pointer and -phi(x - a).
+def weak_limit_check(a: float) -> float:
+    """L2 distance between the normalized conditional pointer and -phi(x - a), a in units of sigma.
 
-    For a much smaller than sigma, phi(x + a) - 2 phi(x) is -phi(x - a) to
-    first order, so the distance, taken in units of sigma, scales as (a / sigma)^2.
+    For a much smaller than 1, phi(x + a) - 2 phi(x) is -phi(x - a) to
+    first order, so the distance, which has no unit, scales as a^2.
     """
-    t = a / check_sigma(sigma)
-    g = float(meter_mod.gauss_kernel(t, 1.0))
+    g = float(meter_mod.gauss_kernel(a, 1.0))
     norm = 1.0 / math.sqrt(5.0 - 4.0 * g)
-    difference = GaussianPointer(1.0, ((norm, -t), (-2.0 * norm, 0.0), (1.0, t)))
+    difference = GaussianPointer(1.0, ((norm, -a), (-2.0 * norm, 0.0), (1.0, a)))
     return math.sqrt(meter_mod.gaussian_norm_sq(difference))  # row norms are never negative
 
 

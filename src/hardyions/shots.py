@@ -3,10 +3,11 @@
 A shot is accepted (post-selected on |gg>) when its uniform is below P(gg),
 the uniform with which Generator.choice would pick one of the nine outcomes;
 accepted shots draw a pointer position from |phi_c(x)|^2 by inverse-CDF
-sampling on the grid oracle, built in units of sigma and scaled to lengths
-once. A guide table (Chen & Asau, AIIE Trans. 6, 163 (1974)) finds each
-uniform's CDF interval without sorting, and the position is interpolated
-with np.interp's own arithmetic, so it equals np.interp bit for bit.
+sampling on the grid oracle. The light shift config.a is in units of sigma,
+and so is the grid; its positions are scaled to lengths once. A guide
+table (Chen & Asau, AIIE Trans. 6, 163 (1974)) finds each uniform's CDF
+interval without sorting, and the position is interpolated with
+np.interp's own arithmetic, so it equals np.interp bit for bit.
 Randomness comes from numpy's default generator (PCG64), seeded per batch
 from (seed, batch_index), so results are reproducible bit for bit and
 batches may be evaluated independently and merged in index order.
@@ -107,8 +108,8 @@ class BatchTotals:
 
 
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
-    """Evolve the weak experiment once, in units of sigma, for its acceptance threshold and pointer CDF."""
-    final, _, pointer = weak_gaussian_experiment(config.a, config.sigma).run()
+    """Evolve the weak experiment once, at config.a in units of sigma, for its acceptance threshold and pointer CDF."""
+    final, _, pointer = weak_gaussian_experiment(config.a).run()
     gaussian_moments(pointer, config.sigma)  # raises, before any grid is evaluated, where the moments overflow
     table = internal_probabilities(final)
     probabilities = np.array([table[label] for label in BASIS_LABELS])

@@ -1,5 +1,5 @@
 """Property tests: a batch run of the weak Gaussian experiment is B scalar runs, bit for bit,
-and a run depends on sigma only through a/sigma: the engine works in units of sigma."""
+and a, given in units of sigma, is run as entered: sigma scales only the reported lengths."""
 
 import contextlib
 import io
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hardyions import cli
 from hardyions.meter import evaluate_gaussian, to_grid
-from hardyions.protocol import run_weak_gaussian, weak_limit_check
+from hardyions.protocol import RunConfig, run_weak_gaussian
+from hardyions.shots import prepare_experiment
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -27,9 +28,8 @@ REPORTED = ("postselection_probability", "pointer_mean", "pointer_variance", "cl
     ratios=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=50),
 )
 def test_batch_equals_scalar_runs_bit_for_bit(sigma, ratios):
-    lengths = [aos * sigma for aos in ratios]
-    batch = run_weak_gaussian(np.array(lengths), sigma)
-    for k, a in enumerate(lengths):
+    batch = run_weak_gaussian(np.array(ratios), sigma)
+    for k, a in enumerate(ratios):
         single = run_weak_gaussian(a, sigma)
         assert [getattr(batch, name)[k] for name in REPORTED] == [getattr(single, name) for name in REPORTED]
 
@@ -80,8 +80,15 @@ def test_weak_probability_does_not_depend_on_sigma(sigma, ratio):
 @PROPERTY_SETTINGS
 @given(sigma=SIGMAS, ratios=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=50))
 def test_unitless_results_depend_only_on_a_over_sigma(sigma, ratios):
-    lengths = np.array(ratios) * sigma
-    probability = run_weak_gaussian(lengths, sigma).postselection_probability
-    assert probability == run_weak_gaussian(lengths / sigma).postselection_probability
-    for a in lengths.tolist():
-        assert weak_limit_check(a, sigma) == weak_limit_check(a / sigma)
+    probability = run_weak_gaussian(np.array(ratios), sigma).postselection_probability
+    assert probability == run_weak_gaussian(np.array(ratios)).postselection_probability
+
+
+@PROPERTY_SETTINGS
+@given(sigma=SIGMAS, ratio=st.floats(0.0, 6.0))
+def test_prepared_experiment_scales_only_its_positions(sigma, ratio):
+    # the threshold and the CDF are those of the unit run, bit for bit; sigma scales only the positions
+    scaled, unit = prepare_experiment(RunConfig(ratio, sigma)), prepare_experiment(RunConfig(ratio))
+    assert scaled.accept_below == unit.accept_below
+    assert scaled.cdf.tobytes() == unit.cdf.tobytes()
+    assert scaled.xs.tobytes() == (unit.xs * sigma).tobytes()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hardyions
 from hardyions import cli, shots
 from hardyions.cli import main
-from hardyions.protocol import RunConfig, run_weak_gaussian, run_weak_in_units
+from hardyions.protocol import RunConfig, run_weak_gaussian
 from test_golden import CASES, GOLDEN, PER_SHOT, x87_only
 
 PER_SHOT_HEADER = b"shot,accepted,x_sample\r\n"
@@ -107,10 +107,13 @@ class TestWeak:
             assert math.isfinite(payload["pointer_variance"])
 
     @pytest.mark.parametrize("ratio, sigma", [(1.7, 3.1), (0.7, 0.37)])
-    def test_engine_runs_the_entered_ratio(self, capsys, ratio, sigma):
+    def test_engine_runs_the_entered_ratio(self, capsys, monkeypatch, ratio, sigma):
         assert ratio * sigma / sigma != ratio  # a round trip through the length would move the engine
+        calls = []  # the one weak entry, which the benchmark's tracer wraps
+        monkeypatch.setattr(cli, "run_weak_gaussian", lambda *args: calls.append(args) or run_weak_gaussian(*args))
         _, out, _ = run_cli(capsys, "weak", "--a", repr(ratio), "--sigma", repr(sigma), "--format", "json")
-        report = run_weak_in_units(ratio, sigma)
+        assert calls == [(ratio, sigma)]
+        report = run_weak_gaussian(ratio, sigma)
         assert report.conditional_pointer.meter.points.tolist() == [0.0, -ratio]
         assert json.loads(out) == report.to_json_dict()
         assert report.postselection_probability == run_weak_gaussian(ratio).postselection_probability
@@ -229,6 +232,17 @@ class TestMonteCarlo:
         payload = json.loads(out1)
         assert payload["total"] == 20000
         assert payload["seed"] == 7
+
+    def test_engine_runs_the_entered_ratio(self, capsys, monkeypatch):
+        # a * sigma / sigma != a here: a round trip through the length moved the threshold by one ulp
+        assert 0.67 * 3.1 / 3.1 != 0.67
+        prepared = []
+        prepare = shots.prepare_experiment
+        monkeypatch.setattr(shots, "prepare_experiment", lambda config: prepared.append(prepare(config)) or prepared[-1])
+        assert cli.main(["mc", "--a", "0.67", "--sigma", "3.1", "--shots", "1000"]) == 0
+        capsys.readouterr()
+        assert [p.config.a for p in prepared] == [0.67]
+        assert prepared[0].accept_below.hex() == "0x1.37e078e71bc3cp-4"
 
     def test_acceptance_near_one_sixteenth(self, capsys):
         _, out, _ = run_cli(capsys, "mc", "--shots", "100000", "--seed", "1")

@@ -124,7 +124,7 @@ class TestGaussianMoments:
 
     def test_batch_kernel_in_c_order(self):
         # the coupled meter keeps its centers, and its kernel, in C order
-        final = weak_gaussian_experiment(np.linspace(0.01, 5.0, 50), 1.0).run()[0]
+        final = weak_gaussian_experiment(np.linspace(0.01, 5.0, 50)).run()[0]
         assert final.meter.points.flags.c_contiguous
         assert final.meter.gram.flags.c_contiguous
 

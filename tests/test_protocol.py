@@ -3,7 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from hardyions.protocol import (
     run_strong_comparison,
     run_third_ion,
     run_weak_gaussian,
-    run_weak_in_units,
     third_ion_excited_population,
     third_ion_experiment,
     weak_gaussian_experiment,
@@ -128,7 +127,7 @@ class TestEngine:
         "experiment",
         [
             IDEAL,
-            weak_gaussian_experiment(0.7, 1.0),
+            weak_gaussian_experiment(0.7),
             Experiment(GaussianMeter(1.3), (light_shift_meter(0.7),)),  # a meter that is not the unit one
             Experiment(GaussianMeter(2.0), (light_shift_meter(0.7),)),
             third_ion_experiment(0.4),
@@ -368,39 +367,34 @@ class TestUnitsOfSigma:
 
     def test_every_sigma_evolves_one_meter(self):
         intermediate_state.cache_clear()
-        for sigma in (5e-324, 1e-170, 0.37, 1.0, 3.1, 1e100, 1.7e308):
-            experiment = weak_gaussian_experiment(0.5 * sigma, sigma)
-            assert experiment.meter == GaussianMeter(1.0)
-            experiment.final_state()
-        run_weak_gaussian(0.5 * 3.1, 3.1)
-        prepare_experiment(RunConfig(a=0.5 * 0.37, sigma=0.37))
+        assert weak_gaussian_experiment(0.5).meter == GaussianMeter(1.0)
+        for sigma in (5e-324, 1e-170, 0.37, 1.0, 3.1, 1e100):
+            assert run_weak_gaussian(0.5, sigma).conditional_pointer.meter.points.tolist() == [0.0, -0.5]
+        prepare_experiment(RunConfig(a=0.5, sigma=0.37))
         assert intermediate_state.cache_info().currsize == 1
 
-    def test_overflowing_a_over_sigma_rejected_without_a_warning(self):
+    def test_overflowing_a_times_sigma_rejected_without_a_warning(self):
+        # the reported moments overflow before the closed form's length a sigma is formed
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
-                run_weak_gaussian(1e308, 0.5)
-
-    def test_a_length_enters_through_its_ratio(self):
-        a, sigma = 1.7 * 3.1, 3.1
-        by_length, by_ratio = run_weak_gaussian(a, sigma), run_weak_in_units(a / sigma, sigma)
-        assert by_length == replace(by_ratio, closed_form_mean=closed_form_mean(a, sigma))
+            with pytest.raises(ValueError, match="overflow a double"):
+                run_weak_gaussian(1e300, 1e10)
 
     @pytest.mark.parametrize("ratio", [-0.1, math.inf, math.nan, [0.5, -1.0]])
     def test_invalid_ratio_rejected(self, ratio):
-        with pytest.raises(ValueError, match="^a / sigma must be a non-negative finite number, got "):
-            run_weak_in_units(ratio, 2.0)
+        # one message for every entry that takes a
+        for call in (lambda: run_weak_gaussian(ratio, 2.0), lambda: RunConfig(a=ratio, sigma=2.0)):
+            with pytest.raises(ValueError, match="^a must be a non-negative finite number of sigmas, got "):
+                call()
 
     def test_conditional_pointer_is_in_units_of_sigma(self):
-        pointer = run_weak_gaussian(1.7, 2.0).conditional_pointer
+        pointer = run_weak_gaussian(0.85, 2.0).conditional_pointer
         assert (pointer.sigma, pointer.meter.points.tolist()) == (1.0, [0.0, -0.85])
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_one_sigma_rule(self, sigma):
         for call in (GaussianMeter, lambda s: RunConfig(sigma=s), lambda s: closed_form_mean(0.5, s),
-                     lambda s: weak_gaussian_experiment(0.5, s), lambda s: run_weak_gaussian(0.5, s),
-                     lambda s: run_weak_in_units(0.5, s), lambda s: weak_limit_check(0.5, s)):
+                     lambda s: run_weak_gaussian(0.5, s)):
             with pytest.raises(ValueError, match="^sigma must be a positive finite length, got "):
                 call(sigma)
 
@@ -440,13 +434,13 @@ class TestWeakLimit:
 
     def test_against_grid_oracle(self):
         # sample both wavefunctions and integrate the squared difference
-        a, sigma = 0.05, 1.0
-        pointer = run_weak_gaussian(a, sigma).conditional_pointer  # already normalized
+        a = 0.05
+        pointer = run_weak_gaussian(a).conditional_pointer  # already normalized
         xs = np.linspace(-10.0, 10.0, 8192)
         conditional = evaluate_gaussian(pointer, xs)
-        target = evaluate_gaussian(GaussianPointer(sigma, ((-1.0, a),)), xs)
+        target = evaluate_gaussian(GaussianPointer(1.0, ((-1.0, a),)), xs)
         deviation = math.sqrt(np.trapezoid(np.abs(conditional - target) ** 2, xs))
-        assert weak_limit_check(a, sigma) == pytest.approx(deviation, abs=1e-9)
+        assert weak_limit_check(a) == pytest.approx(deviation, abs=1e-9)
 
 
 class TestThirdIon:

@@ -34,7 +34,7 @@ def collect_batches(config):
 def choice_reference_draw(config, batch_index, size):
     """The reference stream of one batch: each shot's nine-way outcome from Generator.choice,
     then plain np.interp of one uniform per accepted shot."""
-    table = internal_probabilities(weak_gaussian_experiment(config.a, config.sigma).run()[0])
+    table = internal_probabilities(weak_gaussian_experiment(config.a).run()[0])
     probabilities = np.array([table[label] for label in BASIS_LABELS])
     probabilities /= probabilities.sum()
     prepared = prepare_experiment(config)
@@ -184,8 +184,9 @@ class TestStreamPinning:
         ],
     )
     def test_accept_below_pinned(self, a, sigma, threshold):
-        # bit for bit: the golden per-shot CSV is too short to see a one-ulp change here
-        assert prepare_experiment(RunConfig(a, sigma)).accept_below.hex() == threshold
+        # bit for bit: the golden per-shot CSV is too short to see a one-ulp change here; RunConfig
+        # takes a in units of sigma, so the length a enters as the ratio a / sigma
+        assert prepare_experiment(RunConfig(a / sigma, sigma)).accept_below.hex() == threshold
 
     def test_sample_pointer_matches_plain_interp(self):
         prepared = prepare_experiment(RunConfig(a=0.3))
