@@ -225,17 +225,18 @@ def _rejected_length(shots):
     return 6 * shots + sum(np.maximum(shots - 10**p, 0) for p in range(1, 19))
 
 
-def _write_per_shot_batch(write, first_shot, accepted, samples) -> None:
+def _write_per_shot_batch(write, first_shot, size, hits, samples) -> None:
     """Write one batch's per-shot CSV rows, cut from 1000-row blocks of rejected rows.
 
-    The bytes are those the csv module writes: rows end in \\r\\n and x_sample is the repr of
-    the float, empty on rejected shots. Only accepted rows are formatted, each over its "0,\\r\\n".
+    hits are the sorted offsets of the accepted shots in [0, size). The bytes are those the
+    csv module writes: rows end in \\r\\n and x_sample is the repr of the float, empty on
+    rejected shots. Only accepted rows are formatted, each over its "0,\\r\\n".
     """
     tails, block_0 = _block_parts()
-    end = first_shot + len(accepted)
+    end = first_shot + size
     starts = np.arange(first_shot - first_shot % _WRITE_ROWS, end, _WRITE_ROWS)
     stops = np.minimum(starts + _WRITE_ROWS, end)
-    hits = np.flatnonzero(accepted) + first_shot
+    hits = hits + first_shot
     row_ends = _rejected_length(hits + 1) - 4  # where each accepted row's "0,\r\n" starts
     begin = int(_rejected_length(first_shot))
     taken = 0

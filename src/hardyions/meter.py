@@ -54,10 +54,13 @@ def check_sigma(sigma: float) -> float:
 
 def gauss_kernel(delta, sigma: float):
     """Overlap exp(-delta^2 / (8 sigma^2)) of two width-sigma Gaussians separated by delta."""
-    d = np.asarray(delta, dtype=_LD)
+    # delta and sigma scaled exactly by the power of two that brings sigma into [0.5, 1), so that
+    # 8 sigma^2 cannot underflow where the kernel's precision is a double
+    width, exponent = math.frexp(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
+        d = np.ldexp(np.asarray(delta, dtype=_LD), -exponent)
         d_sq = d * d  # inf beyond the precision's range, where exp(-inf) = 0 is the true overlap
-    return np.exp(-d_sq / (_LD(8.0) * _LD(sigma) * _LD(sigma)))
+    return np.exp(-d_sq / (_LD(8.0) * _LD(width) * _LD(width)))
 
 
 def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Monte-Carlo simulation of repeated runs of the weak-measurement experiment.
 
-A shot is accepted (post-selected on |gg>) when its uniform is below P(gg),
-the uniform with which Generator.choice would pick one of the nine outcomes;
-accepted shots draw a pointer position from |phi_c(x)|^2 by inverse-CDF
-sampling on the grid oracle. The light shift config.a is in units of sigma,
-and so is the grid; its positions are scaled to lengths once. A guide
-table (Chen & Asau, AIIE Trans. 6, 163 (1974)) finds each uniform's CDF
-interval without sorting, and the position is interpolated with
-np.interp's own arithmetic, so it equals np.interp bit for bit.
+A shot is accepted (post-selected on |gg>) with probability p = P(gg). The
+gaps between accepted shots of this Bernoulli(p) process are geometric, so
+a batch draws one uniform per accepted shot, not one per shot: a uniform u
+in (0, 1] gives the gap k with (1-p)^(k+1) < u <= (1-p)^k (inversion;
+Devroye, Non-Uniform Random Variate Generation, 1986). The powers come
+from a table built by repeated multiplication, so the stream does not
+depend on libm's log, which only guesses k. Accepted shots then draw a
+pointer position from |phi_c(x)|^2 by inverse-CDF sampling on the grid
+oracle. The light shift config.a is in units of sigma, and so is the
+grid; its positions are scaled to lengths once. A guide table (Chen &
+Asau, AIIE Trans. 6, 163 (1974)) finds each uniform's CDF interval
+without sorting, and the position is interpolated with np.interp's own
+arithmetic, so it equals np.interp bit for bit.
 Randomness comes from numpy's default generator (PCG64), seeded per batch
 from (seed, batch_index), so results are reproducible bit for bit and
 batches may be evaluated independently and merged in index order.
@@ -24,7 +29,7 @@ import numpy as np
 from .meter import GaussianPointer, gaussian_moments, to_grid
 # run_weak_gaussian is kept bound here, where the benchmark's tracer (bench/spans.py) wraps it.
 from .protocol import RunConfig, run_weak_gaussian, weak_gaussian_experiment  # noqa: F401
-from .statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
+from .statecore import internal_probabilities
 
 BATCH_SIZE = 1 << 17
 MIN_RELIABLE_ACCEPTED = 30
@@ -32,6 +37,8 @@ MIN_RELIABLE_ACCEPTED = 30
 SAMPLING_GRID_POINTS = 4096
 SAMPLING_PADDING_SIGMAS = 8.0
 GUIDE_CELLS = 1 << 14  # guide-table cells; a power of two, so a key's cell is exact
+SMALLEST_GAP_UNIFORM = 2.0**-53  # the smallest u = 1 - Generator.random()
+SMALLEST_ACCEPT = 2.0**-10  # below it the gaps' tail table outgrows about 37 000 entries
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,19 @@ def _inverse_cdf_table(pointer: GaussianPointer, sigma: float) -> tuple[np.ndarr
     return cdf, xs * sigma
 
 
+def _gap_chunk(shots: int, p: float) -> int:
+    """Gaps drawn at a time for the next `shots` shots: the mean hit count plus six standard deviations."""
+    mean = shots * p
+    return math.ceil(mean + 6.0 * math.sqrt(mean)) + 16
+
+
 @dataclass(frozen=True)
 class PreparedExperiment:
-    """Precomputed acceptance threshold and pointer CDF for one configuration.
+    """Precomputed acceptance probability and pointer CDF for one configuration.
+
+    The gaps' tail table: tail[k] = (1-p)^k by repeated multiplication, down
+    to the first entry below SMALLEST_GAP_UNIFORM; gap_scale = 1 / log(1-p)
+    turns log(u) into a guess of the gap.
 
     The CDF's guide table: guide[k] is the last CDF index at or below
     k / GUIDE_CELLS, so a key in cell k lies in interval guide[k] or the one
@@ -72,18 +89,52 @@ class PreparedExperiment:
     """
 
     config: RunConfig
-    accept_below: float
+    accept_below: float  # p = P(gg), at least 1/16 in the weak experiment; 0 (no shot accepted) or in [2**-10, 1]
     cdf: np.ndarray
     xs: np.ndarray
+    tail: np.ndarray = field(init=False)
+    gap_scale: float = field(init=False)
     slopes: np.ndarray = field(init=False)  # np.interp's slope on each CDF interval
     guide: np.ndarray = field(init=False)
     wide: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        p = self.accept_below
+        if not (p == 0.0 or SMALLEST_ACCEPT <= p <= 1.0):
+            raise ValueError(f"accept_below must be 0 or in [2**-10, 1], got {p!r}")
+        tail = [1.0]
+        while 0.0 < p and tail[-1] >= SMALLEST_GAP_UNIFORM:
+            tail.append(tail[-1] * (1.0 - p))
         with np.errstate(divide="ignore"):  # repeated CDF values give inf slopes, never gathered
             slopes = np.diff(self.xs) / np.diff(self.cdf)
         guide = np.searchsorted(self.cdf, np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS, side="right") - 1
-        self.__dict__.update(slopes=slopes, guide=guide[:-1], wide=np.diff(guide) > 1)
+        self.__dict__.update(
+            tail=np.array(tail),
+            gap_scale=1.0 / math.log1p(-p) if 0.0 < p < 1.0 else 0.0,  # at p = 1 every gap is 0
+            slopes=slopes, guide=guide[:-1], wide=np.diff(guide) > 1,
+        )
+
+    def gaps(self, u: np.ndarray) -> np.ndarray:
+        """The gap k with tail[k+1] < u <= tail[k] for each u in (0, 1]: failures before each success."""
+        k = (np.log(u) * self.gap_scale).astype(np.intp)  # the guess: floor, as log(u) * scale >= 0
+        np.minimum(k, len(self.tail) - 2, out=k)
+        wrong = np.flatnonzero((u > self.tail[k]) | (u <= self.tail[k + 1]))  # a guess off by libm's rounding
+        k[wrong] = np.searchsorted(-self.tail, -u[wrong], side="right") - 1
+        return k
+
+    def hit_offsets(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Sorted offsets in [0, size) of the accepted shots of one batch, drawn as gaps from rng."""
+        parts = [np.empty(0, dtype=np.intp)]
+        start = 0 if self.accept_below > 0.0 else size  # the first shot not yet covered by a gap
+        while start < size:
+            u = rng.random(_gap_chunk(size - start, self.accept_below))
+            np.subtract(1.0, u, out=u)  # in (0, 1]
+            hits = np.cumsum(self.gaps(u) + 1)
+            hits += start - 1
+            parts.append(hits)
+            start = int(hits[-1]) + 1
+        hits = np.concatenate(parts)
+        return hits[: np.searchsorted(hits, size)]
 
     def pointer_samples(self, u: np.ndarray) -> np.ndarray:
         """np.interp(u, cdf, xs) bit for bit, for keys u in [0, 1)."""
@@ -108,15 +159,11 @@ class BatchTotals:
 
 
 def prepare_experiment(config: RunConfig) -> PreparedExperiment:
-    """Evolve the weak experiment once, at config.a in units of sigma, for its acceptance threshold and pointer CDF."""
+    """Evolve the weak experiment once, at config.a in units of sigma, for P(gg) and the pointer CDF."""
     final, _, pointer = weak_gaussian_experiment(config.a).run()
     gaussian_moments(pointer, config.sigma)  # raises, before any grid is evaluated, where the moments overflow
     table = internal_probabilities(final)
-    probabilities = np.array([table[label] for label in BASIS_LABELS])
-    # Generator.choice's CDF: it picks GG_INDEX = 0 for a uniform u exactly when u < cdf[0]
-    outcome_cdf = (probabilities / probabilities.sum()).cumsum()
-    outcome_cdf /= outcome_cdf[-1]
-    return PreparedExperiment(config, float(outcome_cdf[GG_INDEX]), *_inverse_cdf_table(pointer, config.sigma))
+    return PreparedExperiment(config, table["gg"] / sum(table.values()), *_inverse_cdf_table(pointer, config.sigma))
 
 
 class batch_plan(Sequence):
@@ -135,10 +182,10 @@ class batch_plan(Sequence):
 def draw_batch(
     prepared: PreparedExperiment, batch_index: int, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Acceptance mask and pointer samples (one per accepted shot) for one batch."""
+    """Offsets of the accepted shots in the batch and their pointer samples, one per accepted shot."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
-    accepted = rng.random(size) < prepared.accept_below
-    return accepted, prepared.pointer_samples(rng.random(int(np.count_nonzero(accepted))))
+    hits = prepared.hit_offsets(rng, size)
+    return hits, prepared.pointer_samples(rng.random(len(hits)))
 
 
 def merge_shot_totals(totals, seed: int) -> ShotResult:
@@ -173,23 +220,24 @@ def merge_shot_totals(totals, seed: int) -> ShotResult:
 
 
 def run_experiment_mc(
-    config: RunConfig, on_batch: Callable[[int, np.ndarray, np.ndarray], None] | None = None
+    config: RunConfig, on_batch: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None
 ) -> ShotResult:
     """Run the full Monte-Carlo experiment.
 
-    With on_batch, calls on_batch(first_shot, accepted, samples) once per
-    batch, in shot order: the index of the batch's first shot, its acceptance
-    mask, and its pointer samples, one per accepted shot in order. Batches are
-    merged as drawn and none is kept, so memory does not grow with the shot count.
+    With on_batch, calls on_batch(first_shot, size, hits, samples) once per
+    batch, in shot order: the index of the batch's first shot, its shot
+    count, the sorted offsets of its accepted shots in [0, size), and their
+    pointer samples, one per accepted shot in order. Batches are merged as
+    drawn and none is kept, so memory does not grow with the shot count.
     """
     prepared = prepare_experiment(config)
     plan = batch_plan(config.shots)
 
     def totals():
         for batch_index, size in enumerate(plan):
-            accepted, samples = draw_batch(prepared, batch_index, size)
+            hits, samples = draw_batch(prepared, batch_index, size)
             if on_batch is not None:
-                on_batch(plan.starts[batch_index], accepted, samples)
+                on_batch(plan.starts[batch_index], size, hits, samples)
             with np.errstate(over="ignore"):  # merge_shot_totals rejects a sum that overflows
                 sum_x_sq = float(np.sum(samples * samples))
             yield BatchTotals(len(samples), size, float(np.sum(samples)), sum_x_sq)

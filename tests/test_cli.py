@@ -362,12 +362,11 @@ def reference_per_shot(batches):
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(["shot", "accepted", "x_sample"])
-    for first_shot, accepted, samples in batches:
-        taken = 0
-        for offset, hit in enumerate(accepted):
-            if hit:
-                writer.writerow([first_shot + offset, 1, repr(float(samples[taken]))])
-                taken += 1
+    for first_shot, size, hits, samples in batches:
+        x_samples = dict(zip(hits.tolist(), samples.tolist()))
+        for offset in range(size):
+            if offset in x_samples:
+                writer.writerow([first_shot + offset, 1, repr(x_samples[offset])])
             else:
                 writer.writerow([first_shot + offset, 0, ""])
     return fh.getvalue()
@@ -406,17 +405,18 @@ class TestPerShotWriter:
             assert json.loads(out) == result.to_json_dict()
             write_reference_per_shot(tmp_path / "reference.csv", batches)
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-            for _, hits, _ in batches:
-                assert hits.dtype == bool
-                if not hits.any():
+            for _, size, hits, _ in batches:
+                assert hits.dtype == np.intp
+                if len(hits) == 0:
                     seen.add("batch without an accepted shot")
-                if hits[0]:
+                    continue
+                if hits[0] == 0:
                     seen.add("accepted first row")
-                if hits[-1]:
+                if hits[-1] == size - 1:
                     seen.add("accepted last row")
-                if (hits[1:] & hits[:-1]).any():
+                if (np.diff(hits) == 1).any():
                     seen.add("two accepted rows in a row")
-            if len(batches[-1][1]) < shots.BATCH_SIZE:
+            if batches[-1][1] < shots.BATCH_SIZE:
                 seen.add("final partial batch")
             if result.accepted == 0:
                 seen.add("run without an accepted shot")
@@ -433,26 +433,26 @@ class TestPerShotWriter:
     @given(
         first_shot=FIRST_SHOTS,
         length=st.integers(1, 5000),
-        mask=st.sampled_from(["empty", "full", "random"]),
+        hit_set=st.sampled_from(["empty", "full", "random"]),
         seed=st.integers(0, 2**32 - 1),
         values=st.lists(
             st.one_of(st.sampled_from(REPR_FORMS), st.floats(allow_nan=False, allow_infinity=False)),
             min_size=1, max_size=8,
         ),
     )
-    def test_batch_bytes_match_csv_module(self, first_shot, length, mask, seed, values):
+    def test_batch_bytes_match_csv_module(self, first_shot, length, hit_set, seed, values):
         rng = np.random.default_rng(seed)
-        accepted = {
-            "empty": np.zeros(length, dtype=bool),
-            "full": np.ones(length, dtype=bool),
-            "random": rng.random(length) < rng.random(),
-        }[mask]
-        samples = np.resize(np.array(values), np.count_nonzero(accepted))
+        hits = {
+            "empty": np.empty(0, dtype=np.intp),
+            "full": np.arange(length),
+            "random": np.flatnonzero(rng.random(length) < rng.random()),
+        }[hit_set]
+        samples = np.resize(np.array(values), len(hits))
         written = [PER_SHOT_HEADER.decode()]
-        cli._write_per_shot_batch(written.append, first_shot, accepted, samples)
+        cli._write_per_shot_batch(written.append, first_shot, length, hits, samples)
         # row by row, so that a failure reports the first wrong row rather than diffing the whole text
         got = "".join(written).split("\r\n")
-        want = reference_per_shot([(first_shot, accepted, samples)]).split("\r\n")
+        want = reference_per_shot([(first_shot, length, hits, samples)]).split("\r\n")
         assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
         assert len(got) == len(want)
 

@@ -297,6 +297,15 @@ class TestWeakGaussian:
             with pytest.raises(ValueError, match="overflow a double"):
                 prepare_experiment(RunConfig(a=1e200))
 
+    def test_tiny_sigma_in_double_precision_without_warnings(self, double_precision):
+        # where longdouble is a double, 8 sigma^2 underflows to 0 at sigma = 1e-170; the kernel
+        # scales delta and sigma by one power of two first, so the closed form stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_weak_gaussian(0.05, 1e-170)
+        assert math.isfinite(report.closed_form_mean)
+        assert report.closed_form_mean == pytest.approx(run_weak_gaussian(0.05).closed_form_mean * 1e-170, rel=1e-14)
+
     def test_negative_displacement_rejected(self):
         with pytest.raises(ValueError):
             run_weak_gaussian(-0.1)

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from hardyions import shots
-from hardyions.protocol import (
-    RunConfig,
-    closed_form_mean,
-    run_weak_gaussian,
-    weak_gaussian_experiment,
-)
+from hardyions.protocol import RunConfig, closed_form_mean, run_weak_gaussian
 from hardyions.shots import (
     BATCH_SIZE,
     SAMPLING_GRID_POINTS,
@@ -21,34 +16,51 @@ from hardyions.shots import (
     prepare_experiment,
     run_experiment_mc,
 )
-from hardyions.statecore import BASIS_LABELS, GG_INDEX, internal_probabilities
 
 
 def collect_batches(config):
-    """The ShotResult of a run and the (first_shot, accepted, samples) of each of its batches."""
+    """The ShotResult of a run and the (first_shot, size, hits, samples) of each of its batches."""
     batches = []
     result = run_experiment_mc(config, on_batch=lambda *batch: batches.append(batch))
     return result, batches
 
 
-def choice_reference_draw(config, batch_index, size):
-    """The reference stream of one batch: each shot's nine-way outcome from Generator.choice,
-    then plain np.interp of one uniform per accepted shot."""
-    table = internal_probabilities(weak_gaussian_experiment(config.a).run()[0])
-    probabilities = np.array([table[label] for label in BASIS_LABELS])
-    probabilities /= probabilities.sum()
+def gap_reference_draw(config, batch_index, size):
+    """The reference stream of one batch, one gap at a time in plain Python.
+
+    Each u = 1 - random() gives the gap k with tail[k+1] < u <= tail[k], tail[k] = (1-p)^k by
+    repeated multiplication: math.log guesses k and the table corrects it. Gaps are drawn in
+    chunks of shots._gap_chunk until they pass the batch end; then plain np.interp of one
+    uniform per accepted shot.
+    """
     prepared = prepare_experiment(config)
+    p = prepared.accept_below
+    tail = [1.0]
+    while tail[-1] >= 2.0**-53:
+        tail.append(tail[-1] * (1.0 - p))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
-    outcomes = rng.choice(len(BASIS_LABELS), size=size, p=probabilities)
-    accepted = int(np.count_nonzero(outcomes == GG_INDEX))
-    return outcomes, np.interp(rng.random(accepted), prepared.cdf, prepared.xs)
+    hits = []
+    shot = 0  # the first shot not yet covered by a gap
+    while shot < size:
+        for r in rng.random(shots._gap_chunk(size - shot, p)).tolist():
+            u = 1.0 - r
+            k = min(math.floor(math.log(u) / math.log1p(-p)) if p < 1.0 else 0, len(tail) - 1)
+            while u > tail[k]:
+                k -= 1
+            while u <= tail[k + 1]:
+                k += 1
+            shot += k
+            hits.append(shot)
+            shot += 1
+    hits = np.array([h for h in hits if h < size], dtype=np.intp)
+    return hits, np.interp(rng.random(len(hits)), prepared.cdf, prepared.xs)
 
 
 def pointer_samples(a, n, seed):
     """n pointer samples of the weak experiment at a: one batch of n shots, every shot accepted."""
     prepared = replace(prepare_experiment(RunConfig(a=a, seed=seed)), accept_below=1.0)
-    accepted, samples = draw_batch(prepared, 0, n)
-    assert accepted.all() and len(samples) == n
+    hits, samples = draw_batch(prepared, 0, n)
+    assert np.array_equal(hits, np.arange(n)) and len(samples) == n
     return samples
 
 
@@ -123,15 +135,17 @@ class TestRunExperiment:
         monkeypatch.setattr(shots, "BATCH_SIZE", 1_234)
         config = RunConfig(a=0.1, shots=5_000, seed=11)
         result, batches = collect_batches(config)
-        firsts = [first for first, _, _ in batches]
-        sizes = [len(accepted) for _, accepted, _ in batches]
+        firsts = [first for first, _, _, _ in batches]
+        sizes = [size for _, size, _, _ in batches]
         assert firsts == [sum(sizes[:i]) for i in range(len(sizes))]
         assert sum(sizes) == config.shots
         assert len(batches) == 5
-        accepted = np.concatenate([accepted for _, accepted, _ in batches])
-        samples = np.concatenate([samples for _, _, samples in batches])
-        assert accepted.dtype == bool
-        assert len(samples) == result.accepted == int(np.count_nonzero(accepted))
+        for _, size, hits, samples in batches:
+            assert hits.dtype == np.intp
+            assert np.all(np.diff(hits) > 0) and 0 <= hits[0] and hits[-1] < size
+            assert len(hits) == len(samples)
+        samples = np.concatenate([samples for *_, samples in batches])
+        assert len(samples) == result.accepted == sum(len(hits) for _, _, hits, _ in batches)
         assert result.sample_mean == pytest.approx(samples.mean(), rel=1e-12)
         assert result == run_experiment_mc(config)
 
@@ -152,21 +166,83 @@ class TestRunExperiment:
 
 class TestStreamPinning:
     @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
-    def test_draw_batch_matches_choice_reference(self, a):
+    def test_draw_batch_matches_gap_reference(self, a):
         accepted_counts = []
         for seed in (0, 1, 7):
             config = RunConfig(a=a, shots=4 * BATCH_SIZE, seed=seed)
             prepared = prepare_experiment(config)
             # full batches, the final partial batch of a run, and a small batch
             for batch_index, size in [(0, BATCH_SIZE), (2, BATCH_SIZE), (3, 12_345), (5, 2_000)]:
-                accepted, samples = draw_batch(prepared, batch_index, size)
-                outcomes, expected = choice_reference_draw(config, batch_index, size)
-                assert accepted.dtype == bool
-                np.testing.assert_array_equal(accepted, outcomes == GG_INDEX)
+                hits, samples = draw_batch(prepared, batch_index, size)
+                expected_hits, expected = gap_reference_draw(config, batch_index, size)
+                assert hits.dtype == np.intp
+                np.testing.assert_array_equal(hits, expected_hits)
                 assert samples.tobytes() == expected.tobytes()
                 accepted_counts.append(len(samples))
         # np.interp precomputes its slopes only for at least as many keys as grid points
         assert min(accepted_counts) < SAMPLING_GRID_POINTS <= max(accepted_counts)
+
+    def test_short_chunks_continue_from_the_same_generator(self, monkeypatch):
+        config = RunConfig(a=0.3, seed=4)
+        prepared = prepare_experiment(config)
+        full_hits, _ = draw_batch(prepared, 1, 5_000)
+        chunks = []
+        monkeypatch.setattr(shots, "_gap_chunk", lambda count, p: chunks.append(count) or 3)
+        hits, samples = draw_batch(prepared, 1, 5_000)
+        assert len(chunks) > 100  # about 330 hits, three gaps a chunk
+        expected_hits, expected = gap_reference_draw(config, 1, 5_000)
+        np.testing.assert_array_equal(hits, expected_hits)
+        assert samples.tobytes() == expected.tobytes()
+        # the gaps are one sequence of uniforms however they are chunked; only the pointer uniforms move
+        np.testing.assert_array_equal(hits, full_hits)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+    def test_wrong_guesses_are_corrected(self, scale):
+        # the stream is set by the tail table alone: a guess that is off by any amount is corrected
+        prepared = prepare_experiment(RunConfig(a=0.3, seed=2))
+        expected = draw_batch(prepared, 0, 20_000)
+        wrong = replace(prepared)
+        wrong.__dict__["gap_scale"] = scale * prepared.gap_scale
+        got = draw_batch(wrong, 0, 20_000)
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_zero_probability_accepts_no_shot(self):
+        prepared = replace(prepare_experiment(RunConfig()), accept_below=0.0)
+        hits, samples = draw_batch(prepared, 0, 1_000)
+        assert hits.dtype == np.intp and len(hits) == len(samples) == 0
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-8, np.nextafter(shots.SMALLEST_ACCEPT, 0.0), -0.5, 1.5, math.nan])
+    def test_acceptance_the_tail_table_cannot_hold_is_rejected(self, p):
+        # below 2**-53, 1 - p rounds to 1 and the table would never reach its end
+        with pytest.raises(ValueError, match="accept_below must be 0 or in"):
+            replace(prepare_experiment(RunConfig()), accept_below=p)
+
+    def test_smallest_acceptance_builds_its_table(self):
+        prepared = replace(prepare_experiment(RunConfig()), accept_below=shots.SMALLEST_ACCEPT)
+        assert len(prepared.tail) < 40_000 and prepared.tail[-1] < shots.SMALLEST_GAP_UNIFORM <= prepared.tail[-2]
+        assert np.all(np.diff(prepared.hit_offsets(np.random.default_rng(0), 100_000)) > 0)
+
+    @pytest.mark.parametrize("p", [1 / 16, 0.0702, 0.1609, 0.3])
+    def test_hits_are_bernoulli(self, p):
+        # against independent Bernoulli(p) shots: the hit count's mean and variance per batch, and
+        # the hits spread evenly over 16 slots of the batch
+        prepared = replace(prepare_experiment(RunConfig()), accept_below=p)
+        size, batches, slots = 1 << 12, 4_000, 16
+        counts = np.empty(batches)
+        per_slot = np.zeros(slots)
+        for index in range(batches):
+            hits = prepared.hit_offsets(np.random.default_rng(np.random.SeedSequence((0, index))), size)
+            assert np.all(np.diff(hits) > 0) and 0 <= hits[0] and hits[-1] < size
+            counts[index] = len(hits)
+            per_slot += np.bincount(hits * slots // size, minlength=slots)
+        variance = size * p * (1.0 - p)
+        assert abs(counts.mean() - size * p) <= 5.0 * math.sqrt(variance / batches)
+        # the relative standard error of a normal sample's variance is sqrt(2 / (batches - 1))
+        assert abs(counts.var(ddof=1) / variance - 1.0) <= 5.0 * math.sqrt(2.0 / (batches - 1))
+        slot_shots = batches * size // slots
+        z = (per_slot - slot_shots * p) / math.sqrt(slot_shots * p * (1.0 - p))
+        assert np.abs(z).max() <= 5.0
 
     @pytest.mark.parametrize(
         "a, sigma, threshold",
@@ -242,7 +318,7 @@ class TestBatching:
     def test_merged_variance_matches_direct_estimate(self):
         config = RunConfig(a=0.1, shots=50_000, seed=6)
         result, batches = collect_batches(config)
-        samples = np.concatenate([samples for _, _, samples in batches])
+        samples = np.concatenate([samples for *_, samples in batches])
         direct = samples.std(ddof=1) / math.sqrt(len(samples))
         assert result.std_error == pytest.approx(direct, rel=1e-12)
 
