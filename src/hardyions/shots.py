@@ -1,18 +1,18 @@
 """Monte-Carlo simulation of repeated runs of the weak-measurement experiment.
 
-A shot is accepted (post-selected on |gg>) with probability p = P(gg). The
-gaps between accepted shots of this Bernoulli(p) process are geometric, so
-a batch draws one uniform per accepted shot, not one per shot: a uniform u
-in (0, 1] gives the gap k with (1-p)^(k+1) < u <= (1-p)^k (inversion;
-Devroye, Non-Uniform Random Variate Generation, 1986). The powers come
-from a table built by repeated multiplication, so the stream does not
-depend on libm's log, which only guesses k. Accepted shots then draw a
+A shot is accepted (post-selected on |gg>) with probability p = P(gg), so a
+batch of n shots accepts Binomial(n, p) of them. A batch draws its accepted
+count first, from one uniform inverted against a table of that CDF. The
+table's weights step outward from the mode by the pmf ratio in IEEE * and /
+only, so the stream does not depend on libm. Accepted shots then draw a
 pointer position from |phi_c(x)|^2 by inverse-CDF sampling on the grid
 oracle. The light shift config.a is in units of sigma, and so is the
 grid; its positions are scaled to lengths once. A guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974)) finds each uniform's CDF interval
 without sorting, and the position is interpolated with np.interp's own
-arithmetic, so it equals np.interp bit for bit.
+arithmetic, so it equals np.interp bit for bit. Only a caller that asks
+which shots were accepted draws their offsets, after the samples and from
+the same generator, so a run's summary does not depend on whether it does.
 Randomness comes from numpy's default generator (PCG64), seeded per batch
 from (seed, batch_index), so results are reproducible bit for bit and
 batches may be evaluated independently and merged in index order.
@@ -37,8 +37,7 @@ MIN_RELIABLE_ACCEPTED = 30
 SAMPLING_GRID_POINTS = 4096
 SAMPLING_PADDING_SIGMAS = 8.0
 GUIDE_CELLS = 1 << 14  # guide-table cells; a power of two, so a key's cell is exact
-SMALLEST_GAP_UNIFORM = 2.0**-53  # the smallest u = 1 - Generator.random()
-SMALLEST_ACCEPT = 2.0**-10  # below it the gaps' tail table outgrows about 37 000 entries
+SMALLEST_WEIGHT = 2.0**-53  # count-table weights below it, relative to the mode's 1, are dropped
 
 
 @dataclass(frozen=True)
@@ -67,19 +66,29 @@ def _inverse_cdf_table(pointer: GaussianPointer, sigma: float) -> tuple[np.ndarr
     return cdf, xs * sigma
 
 
-def _gap_chunk(shots: int, p: float) -> int:
-    """Gaps drawn at a time for the next `shots` shots: the mean hit count plus six standard deviations."""
-    mean = shots * p
-    return math.ceil(mean + 6.0 * math.sqrt(mean)) + 16
+def _count_table(size: int, p: float) -> tuple[int, np.ndarray]:
+    """The Binomial(size, p) CDF as (first, cdf), cdf[i] = P(count <= first + i): weights 1 at the mode, times
+    the pmf ratio (size-k)/(k+1) * p/(1-p) or its inverse per step outward, cut, and normalized by cumsum."""
+    mode = min(math.floor((size + 1) * p), size)
+    with np.errstate(divide="ignore"):  # at p = 0 or 1 the infinite odds are on a side with no step
+        up_odds, down_odds = np.float64(p) / (1.0 - p), np.float64(1.0 - p) / p
+    # 12 standard deviations and 64 steps pass the cut on both sides for any size below 10**28: the
+    # mode's pmf is at least 0.75 / (4 sd + 1) (Chebyshev), and Bernstein's inequality bounds the tails
+    reach = math.ceil(12.0 * math.sqrt(size * p * (1.0 - p))) + 64
+    up = np.arange(mode, min(mode + reach, size))  # the steps k -> k + 1
+    down = np.arange(mode, max(mode - reach, 0), -1)  # the steps k -> k - 1
+    above = np.cumprod((size - up) / (up + 1) * up_odds)
+    below = np.cumprod(down / (size - down + 1) * down_odds)
+    # the weights fall away from the mode, so each cut keeps the side's first entries
+    above, below = above[above >= SMALLEST_WEIGHT], below[below >= SMALLEST_WEIGHT]
+    cdf = np.cumsum(np.concatenate([below[::-1], [1.0], above]))
+    cdf /= cdf[-1]
+    return mode - len(below), cdf
 
 
 @dataclass(frozen=True)
 class PreparedExperiment:
     """Precomputed acceptance probability and pointer CDF for one configuration.
-
-    The gaps' tail table: tail[k] = (1-p)^k by repeated multiplication, down
-    to the first entry below SMALLEST_GAP_UNIFORM; gap_scale = 1 / log(1-p)
-    turns log(u) into a guess of the gap.
 
     The CDF's guide table: guide[k] is the last CDF index at or below
     k / GUIDE_CELLS, so a key in cell k lies in interval guide[k] or the one
@@ -89,52 +98,21 @@ class PreparedExperiment:
     """
 
     config: RunConfig
-    accept_below: float  # p = P(gg), at least 1/16 in the weak experiment; 0 (no shot accepted) or in [2**-10, 1]
+    accept_below: float  # p = P(gg), at least 1/16 in the weak experiment; any p in [0, 1]
     cdf: np.ndarray
     xs: np.ndarray
-    tail: np.ndarray = field(init=False)
-    gap_scale: float = field(init=False)
+    count_tables: dict[int, tuple[int, np.ndarray]] = field(init=False, repr=False, compare=False)  # by batch size
     slopes: np.ndarray = field(init=False)  # np.interp's slope on each CDF interval
     guide: np.ndarray = field(init=False)
     wide: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        p = self.accept_below
-        if not (p == 0.0 or SMALLEST_ACCEPT <= p <= 1.0):
-            raise ValueError(f"accept_below must be 0 or in [2**-10, 1], got {p!r}")
-        tail = [1.0]
-        while 0.0 < p and tail[-1] >= SMALLEST_GAP_UNIFORM:
-            tail.append(tail[-1] * (1.0 - p))
+        if not 0.0 <= self.accept_below <= 1.0:
+            raise ValueError(f"accept_below must be in [0, 1], got {self.accept_below!r}")
         with np.errstate(divide="ignore"):  # repeated CDF values give inf slopes, never gathered
             slopes = np.diff(self.xs) / np.diff(self.cdf)
         guide = np.searchsorted(self.cdf, np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS, side="right") - 1
-        self.__dict__.update(
-            tail=np.array(tail),
-            gap_scale=1.0 / math.log1p(-p) if 0.0 < p < 1.0 else 0.0,  # at p = 1 every gap is 0
-            slopes=slopes, guide=guide[:-1], wide=np.diff(guide) > 1,
-        )
-
-    def gaps(self, u: np.ndarray) -> np.ndarray:
-        """The gap k with tail[k+1] < u <= tail[k] for each u in (0, 1]: failures before each success."""
-        k = (np.log(u) * self.gap_scale).astype(np.intp)  # the guess: floor, as log(u) * scale >= 0
-        np.minimum(k, len(self.tail) - 2, out=k)
-        wrong = np.flatnonzero((u > self.tail[k]) | (u <= self.tail[k + 1]))  # a guess off by libm's rounding
-        k[wrong] = np.searchsorted(-self.tail, -u[wrong], side="right") - 1
-        return k
-
-    def hit_offsets(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sorted offsets in [0, size) of the accepted shots of one batch, drawn as gaps from rng."""
-        parts = [np.empty(0, dtype=np.intp)]
-        start = 0 if self.accept_below > 0.0 else size  # the first shot not yet covered by a gap
-        while start < size:
-            u = rng.random(_gap_chunk(size - start, self.accept_below))
-            np.subtract(1.0, u, out=u)  # in (0, 1]
-            hits = np.cumsum(self.gaps(u) + 1)
-            hits += start - 1
-            parts.append(hits)
-            start = int(hits[-1]) + 1
-        hits = np.concatenate(parts)
-        return hits[: np.searchsorted(hits, size)]
+        self.__dict__.update(count_tables={}, slopes=slopes, guide=guide[:-1], wide=np.diff(guide) > 1)
 
     def pointer_samples(self, u: np.ndarray) -> np.ndarray:
         """np.interp(u, cdf, xs) bit for bit, for keys u in [0, 1)."""
@@ -179,13 +157,29 @@ class batch_plan(Sequence):
         return min(self.starts.step, self.starts.stop - self.starts[index])
 
 
-def draw_batch(
-    prepared: PreparedExperiment, batch_index: int, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the accepted shots in the batch and their pointer samples, one per accepted shot."""
+def draw_batch(prepared: PreparedExperiment, batch_index: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
+    """The batch's generator and the pointer samples of its accepted shots; hit_offsets continues the generator."""
     rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
-    hits = prepared.hit_offsets(rng, size)
-    return hits, prepared.pointer_samples(rng.random(len(hits)))
+    if size not in prepared.count_tables:
+        prepared.count_tables[size] = _count_table(size, prepared.accept_below)
+    first, cdf = prepared.count_tables[size]
+    return rng, prepared.pointer_samples(rng.random(first + int(np.searchsorted(cdf, rng.random(), side="right"))))
+
+
+def hit_offsets(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """A uniformly random count-subset of [0, size), sorted: the offsets of a batch's accepted shots.
+
+    Draws with replacement until count offsets are distinct, redrawing only the shortfall; as that rule sees
+    only how many are distinct, every subset is equally likely, in O(count) memory. Past half the batch the
+    rejected offsets are drawn instead: near count = size the shortfall would take about size rounds to fill.
+    """
+    if 2 * count > size:
+        return np.setdiff1d(np.arange(size), hit_offsets(rng, size, size - count), assume_unique=True)
+    hits = np.empty(0, dtype=np.intp)
+    while len(hits) < count:
+        hits = np.sort(np.concatenate([hits, rng.integers(0, size, count - len(hits), dtype=np.intp)]))
+        hits = hits[np.concatenate([[True], hits[1:] != hits[:-1]])]
+    return hits
 
 
 def merge_shot_totals(totals, seed: int) -> ShotResult:
@@ -235,9 +229,9 @@ def run_experiment_mc(
 
     def totals():
         for batch_index, size in enumerate(plan):
-            hits, samples = draw_batch(prepared, batch_index, size)
+            rng, samples = draw_batch(prepared, batch_index, size)
             if on_batch is not None:
-                on_batch(plan.starts[batch_index], size, hits, samples)
+                on_batch(plan.starts[batch_index], size, hit_offsets(rng, size, len(samples)), samples)
             with np.errstate(over="ignore"):  # merge_shot_totals rejects a sum that overflows
                 sum_x_sq = float(np.sum(samples * samples))
             yield BatchTotals(len(samples), size, float(np.sum(samples)), sum_x_sq)

@@ -356,6 +356,14 @@ class TestMonteCarlo:
         assert all(r["x_sample"] == "" for r in rows if r["accepted"] == "0")
         assert all(r["x_sample"] != "" for r in accepted_rows)
 
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_summary_is_the_per_shot_runs_prefix(self, capsys, tmp_path, seed):
+        # the offsets are drawn after each batch's count and samples, so the summary does not move
+        argv = ["mc", "--a", "0.3", "--shots", str(2 * shots.BATCH_SIZE + 999), "--seed", str(seed), "--format", "text"]
+        summary = run_cli(capsys, *argv)
+        assert summary == run_cli(capsys, *argv, "--per-shot", str(tmp_path / "shots.csv"))
+        assert summary[0] == 0
+
 
 def reference_per_shot(batches):
     """The per-shot file as a csv-module writer loop over every shot writes it."""

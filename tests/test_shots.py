@@ -1,6 +1,9 @@
+import bisect
+import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hardyions.shots import (
     BatchTotals,
     batch_plan,
     draw_batch,
+    hit_offsets,
     merge_shot_totals,
     prepare_experiment,
     run_experiment_mc,
@@ -25,42 +29,55 @@ def collect_batches(config):
     return result, batches
 
 
-def gap_reference_draw(config, batch_index, size):
-    """The reference stream of one batch, one gap at a time in plain Python.
+def reference_count_cdf(size, p):
+    """The count table one weight at a time: 1 at the mode, times the pmf ratio per step, cut below 2**-53."""
+    mode = min(math.floor((size + 1) * p), size)
+    weights = {mode: 1.0}
+    for k in range(mode, size):  # k -> k + 1
+        w = weights[k] * ((size - k) / (k + 1) * (p / (1.0 - p)))
+        if w < 2.0**-53:
+            break
+        weights[k + 1] = w
+    for k in range(mode, 0, -1):  # k -> k - 1
+        w = weights[k] * (k / (size - k + 1) * ((1.0 - p) / p))
+        if w < 2.0**-53:
+            break
+        weights[k - 1] = w
+    cdf = list(itertools.accumulate(weights[k] for k in sorted(weights)))
+    return min(weights), [c / cdf[-1] for c in cdf]
 
-    Each u = 1 - random() gives the gap k with tail[k+1] < u <= tail[k], tail[k] = (1-p)^k by
-    repeated multiplication: math.log guesses k and the table corrects it. Gaps are drawn in
-    chunks of shots._gap_chunk until they pass the batch end; then plain np.interp of one
-    uniform per accepted shot.
-    """
+
+def reference_draw(config, batch_index, size):
+    """The reference stream of one batch in plain Python: the accepted count by bisection of the
+    count table, then np.interp of one uniform per accepted shot, then offsets drawn with
+    replacement into a set, the shortfall each round, until it holds count of them."""
     prepared = prepare_experiment(config)
-    p = prepared.accept_below
-    tail = [1.0]
-    while tail[-1] >= 2.0**-53:
-        tail.append(tail[-1] * (1.0 - p))
+    first, cdf = reference_count_cdf(size, prepared.accept_below)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
-    hits = []
-    shot = 0  # the first shot not yet covered by a gap
-    while shot < size:
-        for r in rng.random(shots._gap_chunk(size - shot, p)).tolist():
-            u = 1.0 - r
-            k = min(math.floor(math.log(u) / math.log1p(-p)) if p < 1.0 else 0, len(tail) - 1)
-            while u > tail[k]:
-                k -= 1
-            while u <= tail[k + 1]:
-                k += 1
-            shot += k
-            hits.append(shot)
-            shot += 1
-    hits = np.array([h for h in hits if h < size], dtype=np.intp)
-    return hits, np.interp(rng.random(len(hits)), prepared.cdf, prepared.xs)
+    count = first + bisect.bisect_right(cdf, rng.random())
+    samples = np.interp(rng.random(count), prepared.cdf, prepared.xs)
+    hits = set()
+    while len(hits) < count:
+        hits.update(rng.integers(0, size, count - len(hits)).tolist())
+    return count, samples, np.array(sorted(hits), dtype=np.intp)
+
+
+def exact_tail(pmf, ks):
+    """The exact mass of the counts ks, which lead away from the mode: summed until a term is below 1e-40."""
+    total = mpmath.mpf(0)
+    for k in ks:
+        term = pmf(k)
+        total += term
+        if term < 1e-40:
+            break
+    return total
 
 
 def pointer_samples(a, n, seed):
     """n pointer samples of the weak experiment at a: one batch of n shots, every shot accepted."""
     prepared = replace(prepare_experiment(RunConfig(a=a, seed=seed)), accept_below=1.0)
-    hits, samples = draw_batch(prepared, 0, n)
-    assert np.array_equal(hits, np.arange(n)) and len(samples) == n
+    _, samples = draw_batch(prepared, 0, n)
+    assert len(samples) == n
     return samples
 
 
@@ -166,73 +183,115 @@ class TestRunExperiment:
 
 class TestStreamPinning:
     @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
-    def test_draw_batch_matches_gap_reference(self, a):
+    def test_draw_batch_matches_reference(self, a):
         accepted_counts = []
         for seed in (0, 1, 7):
             config = RunConfig(a=a, shots=4 * BATCH_SIZE, seed=seed)
             prepared = prepare_experiment(config)
             # full batches, the final partial batch of a run, and a small batch
             for batch_index, size in [(0, BATCH_SIZE), (2, BATCH_SIZE), (3, 12_345), (5, 2_000)]:
-                hits, samples = draw_batch(prepared, batch_index, size)
-                expected_hits, expected = gap_reference_draw(config, batch_index, size)
+                rng, samples = draw_batch(prepared, batch_index, size)
+                hits = hit_offsets(rng, size, len(samples))
+                first, cdf = prepared.count_tables[size]
+                assert (first, cdf.tolist()) == reference_count_cdf(size, prepared.accept_below)
+                count, expected, expected_hits = reference_draw(config, batch_index, size)
+                assert len(samples) == count
+                assert samples.tobytes() == expected.tobytes()
                 assert hits.dtype == np.intp
                 np.testing.assert_array_equal(hits, expected_hits)
-                assert samples.tobytes() == expected.tobytes()
-                accepted_counts.append(len(samples))
+                accepted_counts.append(count)
         # np.interp precomputes its slopes only for at least as many keys as grid points
         assert min(accepted_counts) < SAMPLING_GRID_POINTS <= max(accepted_counts)
 
-    def test_short_chunks_continue_from_the_same_generator(self, monkeypatch):
-        config = RunConfig(a=0.3, seed=4)
+    def test_offsets_follow_the_summary_draws(self):
+        # the offsets come last from the batch's generator, so drawing them moves no count or sample
+        config = RunConfig(a=0.3, shots=3 * BATCH_SIZE + 5, seed=4)
+        result, batches = collect_batches(config)
+        assert result == run_experiment_mc(config)
         prepared = prepare_experiment(config)
-        full_hits, _ = draw_batch(prepared, 1, 5_000)
-        chunks = []
-        monkeypatch.setattr(shots, "_gap_chunk", lambda count, p: chunks.append(count) or 3)
-        hits, samples = draw_batch(prepared, 1, 5_000)
-        assert len(chunks) > 100  # about 330 hits, three gaps a chunk
-        expected_hits, expected = gap_reference_draw(config, 1, 5_000)
-        np.testing.assert_array_equal(hits, expected_hits)
-        assert samples.tobytes() == expected.tobytes()
-        # the gaps are one sequence of uniforms however they are chunked; only the pointer uniforms move
-        np.testing.assert_array_equal(hits, full_hits)
-
-    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
-    def test_wrong_guesses_are_corrected(self, scale):
-        # the stream is set by the tail table alone: a guess that is off by any amount is corrected
-        prepared = prepare_experiment(RunConfig(a=0.3, seed=2))
-        expected = draw_batch(prepared, 0, 20_000)
-        wrong = replace(prepared)
-        wrong.__dict__["gap_scale"] = scale * prepared.gap_scale
-        got = draw_batch(wrong, 0, 20_000)
-        np.testing.assert_array_equal(got[0], expected[0])
-        assert got[1].tobytes() == expected[1].tobytes()
+        for index, (_, size, hits, samples) in enumerate(batches):
+            rng, expected = draw_batch(prepared, index, size)
+            assert samples.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(hits, hit_offsets(rng, size, len(samples)))
 
     def test_zero_probability_accepts_no_shot(self):
-        prepared = replace(prepare_experiment(RunConfig()), accept_below=0.0)
-        hits, samples = draw_batch(prepared, 0, 1_000)
-        assert hits.dtype == np.intp and len(hits) == len(samples) == 0
+        self.assert_certain(0.0)
 
-    @pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-8, np.nextafter(shots.SMALLEST_ACCEPT, 0.0), -0.5, 1.5, math.nan])
+    def test_unit_probability_accepts_every_shot(self):
+        self.assert_certain(1.0)
+
+    @staticmethod
+    def assert_certain(p):
+        # from a count table of one entry
+        prepared = replace(prepare_experiment(RunConfig()), accept_below=p)
+        for size in (1, 1_000, BATCH_SIZE):
+            rng, samples = draw_batch(prepared, 0, size)
+            assert len(samples) == p * size
+            hits = hit_offsets(rng, size, len(samples))
+            assert hits.dtype == np.intp
+            np.testing.assert_array_equal(hits, np.arange(len(samples)))
+            assert len(prepared.count_tables[size][1]) == 1
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
     def test_acceptance_the_tail_table_cannot_hold_is_rejected(self, p):
-        # below 2**-53, 1 - p rounds to 1 and the table would never reach its end
-        with pytest.raises(ValueError, match="accept_below must be 0 or in"):
+        # the count table holds any p in [0, 1]; nan and values outside that interval are still rejected
+        with pytest.raises(ValueError, match=r"accept_below must be in \[0, 1\]"):
             replace(prepare_experiment(RunConfig()), accept_below=p)
 
-    def test_smallest_acceptance_builds_its_table(self):
-        prepared = replace(prepare_experiment(RunConfig()), accept_below=shots.SMALLEST_ACCEPT)
-        assert len(prepared.tail) < 40_000 and prepared.tail[-1] < shots.SMALLEST_GAP_UNIFORM <= prepared.tail[-2]
-        assert np.all(np.diff(prepared.hit_offsets(np.random.default_rng(0), 100_000)) > 0)
+    @pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-8, np.nextafter(2.0**-10, 0.0), np.nextafter(1.0, 0.0)])
+    def test_any_acceptance_builds_a_short_table(self, p):
+        # the table holds the counts within about 9 standard deviations of the mode, however small p is
+        prepared = replace(prepare_experiment(RunConfig()), accept_below=p)
+        for seed in range(20):
+            rng, samples = draw_batch(replace(prepared, config=RunConfig(seed=seed)), 0, BATCH_SIZE)
+            hits = hit_offsets(rng, BATCH_SIZE, len(samples))
+            assert len(hits) == len(samples) and np.all(np.diff(hits) > 0)
+        first, cdf = shots._count_table(BATCH_SIZE, p)
+        assert len(cdf) <= 20 * math.sqrt(BATCH_SIZE * p * (1.0 - p)) + 40
+        assert 0 <= first and first + len(cdf) <= BATCH_SIZE + 1
 
-    @pytest.mark.parametrize("p", [1 / 16, 0.0702, 0.1609, 0.3])
+    def test_smallest_acceptance_builds_its_table(self):
+        # at p = 1e-300 even one accepted shot is below the cut, and just below p = 1 one rejected shot
+        # is just above it: tables of one and two entries
+        first, cdf = shots._count_table(BATCH_SIZE, 1e-300)
+        assert first == 0 and cdf.tolist() == [1.0]
+        first, cdf = shots._count_table(BATCH_SIZE, np.nextafter(1.0, 0.0))
+        assert first == BATCH_SIZE - 1 and len(cdf) == 2
+
+    @pytest.mark.parametrize(
+        "size, p",
+        [(1, 1 / 16), (12_345, 0.0702), (1 << 17, 1 / 16), (1 << 17, 0.3), (1 << 17, 2.0**-10), (1 << 17, 1e-17)],
+    )
+    def test_count_table_matches_exact_binomial(self, size, p):
+        # against the exact CDF in 60-digit mpmath, which shares none of the table's double arithmetic
+        first, cdf = shots._count_table(size, p)
+        last = first + len(cdf) - 1
+        with mpmath.workdps(60):
+            q = mpmath.mpf(p)
+
+            def pmf(k):
+                return mpmath.binomial(size, k) * q**k * (1 - q) ** (size - k)
+
+            below = exact_tail(pmf, range(first - 1, -1, -1))
+            above = exact_tail(pmf, range(last + 1, size + 1))
+            exact = below
+            for k, entry in enumerate(cdf.tolist(), start=first):
+                exact += pmf(k)
+                assert abs(entry - exact) <= 1e-12
+            assert below + above < 2.0**-50
+
+    @pytest.mark.parametrize("p", [1 / 16, 0.0702, 0.1609, 0.3, 0.75])
     def test_hits_are_bernoulli(self, p):
-        # against independent Bernoulli(p) shots: the hit count's mean and variance per batch, and
-        # the hits spread evenly over 16 slots of the batch
+        # against independent Bernoulli(p) shots: the accepted count's mean and variance per batch,
+        # and the offsets spread evenly over 16 slots of the batch; at 0.75 the rejected offsets are drawn
         prepared = replace(prepare_experiment(RunConfig()), accept_below=p)
         size, batches, slots = 1 << 12, 4_000, 16
         counts = np.empty(batches)
         per_slot = np.zeros(slots)
         for index in range(batches):
-            hits = prepared.hit_offsets(np.random.default_rng(np.random.SeedSequence((0, index))), size)
+            rng, samples = draw_batch(prepared, index, size)
+            hits = hit_offsets(rng, size, len(samples))
+            assert len(hits) == len(samples) and hits.dtype == np.intp
             assert np.all(np.diff(hits) > 0) and 0 <= hits[0] and hits[-1] < size
             counts[index] = len(hits)
             per_slot += np.bincount(hits * slots // size, minlength=slots)
