@@ -11,7 +11,6 @@ from hardyions import shots
 from hardyions.protocol import RunConfig, closed_form_mean, run_weak_gaussian
 from hardyions.shots import (
     BATCH_SIZE,
-    SAMPLING_GRID_POINTS,
     BatchTotals,
     batch_plan,
     draw_batch,
@@ -47,19 +46,46 @@ def reference_count_cdf(size, p):
     return min(weights), [c / cdf[-1] for c in cdf]
 
 
+def reference_offsets(rng, size, count):
+    """Offsets drawn with replacement into a set, the shortfall each round, until it holds count of them;
+    past half the batch, the complement of as many rejected offsets drawn so."""
+    if 2 * count > size:
+        return np.setdiff1d(np.arange(size), reference_offsets(rng, size, size - count))
+    hits = set()
+    while len(hits) < count:
+        hits.update(rng.integers(0, size, count - len(hits)).tolist())
+    return np.array(sorted(hits), dtype=np.intp)
+
+
+def reference_pointer_sample(prepared, u):
+    """One key through the alias table in plain Python floats: cell and frac, the piece, its linear map."""
+    f = u * len(prepared.prob)
+    cell = int(f)
+    frac = f - cell
+    half = 2 * cell + (frac >= float(prepared.prob[cell]))
+    return float(prepared.offsets[half]) + frac * float(prepared.scales[half])
+
+
 def reference_draw(config, batch_index, size):
     """The reference stream of one batch in plain Python: the accepted count by bisection of the
-    count table, then np.interp of one uniform per accepted shot, then offsets drawn with
-    replacement into a set, the shortfall each round, until it holds count of them."""
+    count table, then one uniform per accepted shot through the alias table, then the offsets."""
     prepared = prepare_experiment(config)
     first, cdf = reference_count_cdf(size, prepared.accept_below)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, batch_index)))
     count = first + bisect.bisect_right(cdf, rng.random())
-    samples = np.interp(rng.random(count), prepared.cdf, prepared.xs)
-    hits = set()
-    while len(hits) < count:
-        hits.update(rng.integers(0, size, count - len(hits)).tolist())
-    return count, samples, np.array(sorted(hits), dtype=np.intp)
+    samples = np.array([reference_pointer_sample(prepared, u) for u in rng.random(count).tolist()])
+    return count, samples, reference_offsets(rng, size, count)
+
+
+class CountingGenerator:
+    """A generator that counts its integers calls: the rounds of hit_offsets."""
+
+    def __init__(self, rng):
+        self.rng, self.rounds = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.rounds += 1
+        return self.rng.integers(*args, **kwargs)
 
 
 def exact_tail(pmf, ks):
@@ -184,7 +210,6 @@ class TestRunExperiment:
 class TestStreamPinning:
     @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
     def test_draw_batch_matches_reference(self, a):
-        accepted_counts = []
         for seed in (0, 1, 7):
             config = RunConfig(a=a, shots=4 * BATCH_SIZE, seed=seed)
             prepared = prepare_experiment(config)
@@ -199,9 +224,17 @@ class TestStreamPinning:
                 assert samples.tobytes() == expected.tobytes()
                 assert hits.dtype == np.intp
                 np.testing.assert_array_equal(hits, expected_hits)
-                accepted_counts.append(count)
-        # np.interp precomputes its slopes only for at least as many keys as grid points
-        assert min(accepted_counts) < SAMPLING_GRID_POINTS <= max(accepted_counts)
+
+    @pytest.mark.parametrize("size, count, rounds", [(1 << 17, 39_321, 4), (1 << 17, 100_000, 4), (1_000, 999, 1)])
+    def test_offsets_match_the_set_reference(self, size, count, rounds):
+        # p = 0.3 at 2**17 shots takes at least 3 top-up rounds after the first (8 at these seeds); past half
+        # the batch the rejected offsets are drawn, and their complement taken
+        for seed in (0, 1):
+            rng = CountingGenerator(np.random.default_rng(seed))
+            hits = hit_offsets(rng, size, count)
+            assert rng.rounds >= rounds
+            assert hits.dtype == np.intp and len(hits) == count
+            np.testing.assert_array_equal(hits, reference_offsets(np.random.default_rng(seed), size, count))
 
     def test_offsets_follow_the_summary_draws(self):
         # the offsets come last from the batch's generator, so drawing them moves no count or sample
@@ -322,13 +355,6 @@ class TestStreamPinning:
         # bit for bit: the golden per-shot CSV is too short to see a one-ulp change here; RunConfig
         # takes a in units of sigma, so the length a enters as the ratio a / sigma
         assert prepare_experiment(RunConfig(a / sigma, sigma)).accept_below.hex() == threshold
-
-    def test_sample_pointer_matches_plain_interp(self):
-        prepared = prepare_experiment(RunConfig(a=0.3))
-        cdf, xs = prepared.cdf, prepared.xs
-        for n in (1, 100, SAMPLING_GRID_POINTS, 50_000):
-            expected = np.interp(np.random.default_rng(8).random(n), cdf, xs)
-            assert prepared.pointer_samples(np.random.default_rng(8).random(n)).tobytes() == expected.tobytes()
 
 
 class TestBatching:
