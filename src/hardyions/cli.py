@@ -137,14 +137,19 @@ def _emit(args, text: str) -> None:
     if args.out:
         # Written in place: O_TRUNC would make the file system free the old blocks only to
         # allocate them again. A regular file longer than the text is then cut to its length;
-        # a device or a pipe is never truncated. The text goes in one write, so only a run
-        # killed between that write and the cut leaves old bytes after the new ones.
-        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            written = os.fstat(fh.fileno())
-            if stat.S_ISREG(written.st_mode) and written.st_size > fh.tell():
-                fh.truncate()
+        # a device or a pipe is never truncated. Only a run killed between the writes and the
+        # cut leaves old bytes after the new ones. A pipe may take fewer bytes per call.
+        data = (text if os.linesep == "\n" else text.replace("\n", os.linesep)).encode("utf-8")  # as text mode
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            written = os.fstat(fd)
+            if stat.S_ISREG(written.st_mode) and written.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(text)
 

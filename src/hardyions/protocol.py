@@ -65,6 +65,8 @@ INTERMEDIATE_PROJECTOR_LABELS = ("gg", "ge", "eg", "ff")
 BEAMSPLITTERS = (beamsplitter(1), beamsplitter(2))
 PREPARE = (*BEAMSPLITTERS, annihilation_pulse())
 RECOMBINE = BEAMSPLITTERS
+# The one meter of every weak Gaussian run, which keys intermediate_state.
+UNIT_METER = GaussianMeter(1.0)
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def check_a(a) -> np.ndarray:
 
 def weak_gaussian_experiment(a) -> Experiment:
     """The unit Gaussian meter, its |gg> branch displaced by -a, a in units of sigma (each a of an array: a batch)."""
-    return Experiment(GaussianMeter(1.0), (light_shift_meter(a),))
+    return Experiment(UNIT_METER, (light_shift_meter(a),))
 
 
 def third_ion_experiment(theta: float) -> Experiment:

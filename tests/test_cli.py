@@ -6,7 +6,9 @@ import json
 import math
 import os
 import subprocess
+import stat
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -748,6 +750,59 @@ class TestOutputFiles:
         code, out, err = run_cli(capsys, "mc", "--shots", "10", flag, str(path))
         assert (code, out) == (2, "")
         assert err == f"error: [Errno {number}] {os.strerror(number)}: {str(path)!r}\n"
+
+    @staticmethod
+    def _drained(capsys, open_reader, out_path):
+        """Run a scan of about 235 KB (over three 64 KiB pipe buffers) into out_path while a thread
+        reads it through open_reader; the bytes read, and the same command's stdout."""
+        argv = ["scan", "--steps", "3000"]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and len(stdout) > 3 * 65536
+        chunks = []
+
+        def read():
+            with open_reader() as fh:
+                while chunk := fh.read(65536):
+                    chunks.append(chunk)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        return run_cli(capsys, *argv, "--out", out_path), reader, chunks, stdout.encode()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_through_dev_fd(self, capsys):
+        r, w = os.pipe()
+        try:
+            result, reader, chunks, expected = self._drained(
+                capsys, lambda: os.fdopen(r, "rb", buffering=0, closefd=False), f"/dev/fd/{w}")
+        finally:
+            os.close(w)  # the reader sees the end of the text only once every write end is closed
+        reader.join(timeout=60)
+        os.close(r)
+        assert not reader.is_alive()
+        assert result == (0, "", "")
+        assert b"".join(chunks) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        result, reader, chunks, expected = self._drained(capsys, lambda: open(fifo, "rb", buffering=0), str(fifo))
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert result == (0, "", "")
+        assert b"".join(chunks) == expected
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)  # still a FIFO, never truncated
+
+    def test_short_writes(self, capsys, tmp_path, monkeypatch):
+        # a descriptor that takes at most 1000 bytes per call still gets the whole text
+        expected = run_cli(capsys, "scan", "--steps", "300")[1].encode()
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:1000])))
+        out = tmp_path / "out"
+        out.write_bytes(stale(2 * len(expected)))
+        assert run_cli(capsys, "scan", "--steps", "300", "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == expected
 
     def test_failed_per_shot_run_leaves_only_the_header(self, capsys, tmp_path):
         # the pointer moments overflow after the file is opened and its header written

@@ -316,8 +316,9 @@ class TestWeakGaussian:
         assert run_weak_gaussian(1.7).conditional_pointer.meter.points.tolist() == [0.0, -1.7]
 
     def test_invariants_computed_once(self, monkeypatch):
-        # cold: every pulse of the sequence is norm-checked, the prefix's one-center meter builds
-        # its kernel and the coupled meter builds its own; warm, for any a at the same sigma: only
+        # cold (the prefix's state and the one unit meter's kernel dropped): every pulse of the
+        # sequence is norm-checked, the prefix's one-center meter builds its kernel and the
+        # coupled meter builds its own; warm, for any a at the same sigma: only
         # the pulses after the prefix run, and the coupled meter's kernel serves the norms, the
         # outcome table and the moments; the weak values cost nothing
         from hardyions import meter, protocol
@@ -336,6 +337,7 @@ class TestWeakGaussian:
         monkeypatch.setattr(protocol, "apply_unitary", counted(protocol.apply_unitary, "apply"))
         assert len(weak_gaussian_experiment(1.7).sequence) == 6
         intermediate_state.cache_clear()
+        vars(weak_gaussian_experiment(1.7).meter).pop("gram", None)
         run_weak_gaussian(1.7)
         assert counts == {"kernel": 2, "apply": 6}
         counts.update(kernel=0, apply=0)
@@ -381,6 +383,18 @@ class TestUnitsOfSigma:
             assert run_weak_gaussian(0.5, sigma).conditional_pointer.meter.points.tolist() == [0.0, -0.5]
         prepare_experiment(RunConfig(a=0.5, sigma=0.37))
         assert intermediate_state.cache_info().currsize == 1
+
+    def test_one_meter_object(self):
+        # the unit meter is built once, so no weak run builds or hashes a meter of its own
+        assert weak_gaussian_experiment(0.5).meter is weak_gaussian_experiment(2.0).meter
+        assert weak_gaussian_experiment(np.array([0.1, 3.0])).meter is weak_gaussian_experiment(0.5).meter
+
+    def test_prefix_cache_does_not_grow_with_a(self):
+        run_weak_gaussian(0.5)
+        size = intermediate_state.cache_info().currsize
+        for a in np.linspace(0.01, 5.0, 50).tolist():
+            run_weak_gaussian(a)
+        assert intermediate_state.cache_info().currsize == size
 
     def test_overflowing_a_times_sigma_rejected_without_a_warning(self):
         # the reported moments overflow before the closed form's length a sigma is formed

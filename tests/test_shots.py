@@ -1,4 +1,5 @@
 import bisect
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -355,6 +356,54 @@ class TestStreamPinning:
         # bit for bit: the golden per-shot CSV is too short to see a one-ulp change here; RunConfig
         # takes a in units of sigma, so the length a enters as the ratio a / sigma
         assert prepare_experiment(RunConfig(a / sigma, sigma)).accept_below.hex() == threshold
+
+
+class TestSeedEnsemble:
+    """The errors a run claims, held to the spread of runs across seeds (mc --shots 20000, 400 seeds per a).
+
+    With 400 runs, a mean of the z-scores is known to +-0.05 and their standard deviation to +-0.035,
+    so the bands below are 4 to 5 of those errors wide. A bias below about a quarter of the claimed
+    standard error passes them; the exact-moment tests in test_oracle.py pin the sampler below that.
+    """
+
+    SEEDS, SHOTS = 400, 20_000
+
+    @pytest.mark.parametrize("index, a", list(enumerate([0.0, 0.05, 0.2, 2.0, 5.0])))
+    def test_claimed_errors_match_the_seed_spread(self, monkeypatch, index, a):
+        # each a takes its own seeds: batch 0's count uniform is a seed's first draw, so shared seeds
+        # would give every a the same count quantiles
+        seeds = range(index * self.SEEDS, (index + 1) * self.SEEDS)
+        prepared = prepare_experiment(RunConfig(a=a))
+
+        def prepare(config):
+            # the preparation depends on a and sigma only, so it is built once; the seed enters at the draw
+            clone = copy.copy(prepared)
+            object.__setattr__(clone, "config", config)
+            return clone
+
+        first = RunConfig(a=a, shots=self.SHOTS, seed=seeds[0])
+        fresh = run_experiment_mc(first)
+        monkeypatch.setattr(shots, "prepare_experiment", prepare)
+        assert run_experiment_mc(first) == fresh
+        results = [run_experiment_mc(replace(first, seed=seed)) for seed in seeds]
+
+        # the references in closed form, sharing no arithmetic with the run
+        g = math.exp(-a * a / 8.0)
+        p, mean = (5.0 - 4.0 * g) / 16.0, -a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g)
+        n = self.SHOTS
+        counts = np.array([r.accepted for r in results])
+        mean_z = np.array([(r.sample_mean - mean) / r.std_error for r in results])
+        count_z = (counts - n * p) / math.sqrt(n * p * (1.0 - p))
+        for z in (mean_z, count_z):
+            assert abs(z.mean()) <= 0.25
+            assert 0.85 <= z.std(ddof=1) <= 1.15
+        # the counts' mid-quantiles under Binomial(n, p), in 10 equal bins: chi-square with 9 degrees
+        # of freedom, which exceeds 33.7 with probability 1e-4
+        pmf = np.exp([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                      + k * math.log(p) + (n - k) * math.log1p(-p) for k in range(n + 1)])
+        quantiles = np.cumsum(pmf)[counts] - pmf[counts] / 2.0
+        observed = np.bincount(np.minimum((quantiles * 10).astype(int), 9), minlength=10)
+        assert ((observed - self.SEEDS / 10) ** 2 / (self.SEEDS / 10)).sum() <= 33.7
 
 
 class TestBatching:
