@@ -88,7 +88,7 @@ class _EuclideanMetric:
     """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
 
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
-        return np.einsum("im,im->i", np.conj(amplitudes), amplitudes).real
+        return np.einsum("...im,...im->...i", np.conj(amplitudes), amplitudes).real
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def gaussian_moments(p: GaussianPointer, unit: float = 1.0):
     """Exact (<x> unit, <x^2> unit^2) of the normalized pointer (lists over a batch); ValueError on overflow."""
     c = p.coefficients[..., None, :]
     gram = p.meter.gram
-    half = p.meter.points / 2.0
+    half = p.meter.points.astype(_LD) / 2
     with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
         # every length in the kernels times unit, in their precision: the moments round once, as reported
         mid, width = (half[..., :, None] + half[..., None, :]).astype(_LD) * _LD(unit), _LD(p.sigma) * _LD(unit)

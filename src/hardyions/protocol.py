@@ -7,8 +7,9 @@ An Experiment is therefore a meter and its coupling, the pulses between
 PREPARE and RECOMBINE: none for the ideal run, a light shift or a
 third-ion rotation for the weak measurements. evolve folds apply_unitary
 over a sequence. PREPARE takes no parameter, so the state it leaves is
-evolved once per meter and kept (intermediate_state); every run, and the
-weak values of the intermediate projectors, evolve on from that state.
+evolved once per meter and kept (intermediate_state); every run evolves on
+from that state, and so does each intermediate measurement (the weak values'
+projectors, the strong branches): one batch of projections, one evolve.
 The ideal run and the strong comparison take no parameter at all, so each
 is evaluated once per process, on first use; every call returns fresh
 copies of its tables. Every entry takes the light shift a in units of
@@ -54,6 +55,7 @@ from .statecore import (
     internal_probabilities,
     pointer_component,
     project_internal,
+    project_rows,
     state_to_json_dict,
 )
 
@@ -246,9 +248,9 @@ def run_ideal() -> IdealResult:
 def weak_values_postselected() -> dict[str, complex]:
     """Weak values of the intermediate projectors, post-selected on |gg>.
 
-    Transition amplitudes <gg|U P|psi> / <gg|U|psi>, psi the intermediate
-    state: evolve carries each P|psi> and psi through U = RECOMBINE. The
-    occupied intermediate components are gg, ge, eg, ff; their weak values come out
+    Transition amplitudes <gg|U P|psi> / <gg|U|psi>, psi the intermediate state:
+    one evolve carries the batch of the four P|psi> (project_rows) through U = RECOMBINE.
+    The occupied intermediate components are gg, ge, eg, ff; their weak values come out
     (-1, +1, +1, 0) and sum to one. They depend on no parameter, so they
     are computed once, at import; each call returns a fresh copy.
     """
@@ -256,18 +258,12 @@ def weak_values_postselected() -> dict[str, complex]:
 
 
 def _evolved_weak_values() -> dict[str, complex]:
-    psi = intermediate_state(NoMeter())
     denominator = IDEAL.final_state().amplitudes[GG_INDEX, 0]
     if abs(denominator) ** 2 < NORM_FLOOR:
         raise PostSelectionError("post-selection amplitude vanishes")
-    values = {}
-    for label in INTERMEDIATE_PROJECTOR_LABELS:
-        projected = np.zeros_like(psi.amplitudes)
-        idx = BASIS_LABELS.index(label)
-        projected[idx] = psi.amplitudes[idx]
-        final = evolve(SystemState(projected, psi.meter), RECOMBINE)
-        values[label] = complex(final.amplitudes[GG_INDEX, 0] / denominator)
-    return values
+    rows = tuple(map(BASIS_LABELS.index, INTERMEDIATE_PROJECTOR_LABELS))
+    final = evolve(project_rows(intermediate_state(NoMeter()), rows), RECOMBINE)
+    return dict(zip(INTERMEDIATE_PROJECTOR_LABELS, (final.amplitudes[:, GG_INDEX, 0] / denominator).tolist()))
 
 
 _WEAK_VALUES = _evolved_weak_values()
@@ -360,30 +356,25 @@ def run_third_ion(theta: float) -> ThirdIonReport:
 @cache
 def _strong_comparison() -> StrongComparisonReport:
     undisturbed = run_ideal().probabilities
-    psi = intermediate_state(NoMeter())
-    branches = []
-    disturbed = dict.fromkeys(BASIS_LABELS, 0.0)
-    for label, rows in strong_measurement():
-        probability = float(psi.row_norms[rows].sum())  # row norms are never negative
-        collapsed = np.zeros_like(psi.amplitudes)
-        collapsed[rows] = psi.amplitudes[rows] / math.sqrt(probability)
-        table = internal_probabilities(evolve(SystemState(collapsed, psi.meter), RECOMBINE))
-        branches.append(StrongBranch(label, probability, table))
-        for outcome, value in table.items():
-            disturbed[outcome] += probability * value
-    return StrongComparisonReport(undisturbed, disturbed, tuple(branches))
+    labels, groups = zip(*strong_measurement())
+    projected = project_rows(intermediate_state(NoMeter()), groups)
+    probabilities = projected.norm_sq
+    tables = evolve(projected.normalized(), RECOMBINE).row_norms
+    disturbed = (probabilities[:, None] * tables).sum(axis=0)  # summed in the order the branches are listed
+    branch_tables = (dict(zip(BASIS_LABELS, table)) for table in tables.tolist())
+    branches = tuple(map(StrongBranch, labels, probabilities.tolist(), branch_tables))
+    return StrongComparisonReport(undisturbed, dict(zip(BASIS_LABELS, disturbed.tolist())), branches)
 
 
 def run_strong_comparison() -> StrongComparisonReport:
     """Final outcome tables with and without the projective |gg> measurement inserted.
 
-    The measurement (strong_measurement: |gg> against the rest) fires
-    between the annihilation pulse and the second beamsplitters: each
-    branch projects the memoized intermediate state onto its rows, reads
-    its probability from the row norms the state keeps, and evolves the
-    collapsed state through RECOMBINE. The disturbed table sums the branch
-    tables weighted by branch probability. It takes no parameter, so it is
-    evaluated once per process; each call returns fresh copies of the tables.
+    The measurement (strong_measurement: |gg> against the rest) fires between the
+    annihilation pulse and the second beamsplitters: the memoized intermediate state is
+    projected onto each branch's rows as one batch (project_rows), whose norms are the branch
+    probabilities, and the collapsed branches take one evolve through RECOMBINE. The disturbed
+    table sums the branch tables weighted by branch probability, in branch order. It takes no
+    parameter, so it is evaluated once per process; each call returns fresh copies of the tables.
     """
     report = _strong_comparison()
     return StrongComparisonReport(

@@ -6,7 +6,7 @@ meter); a coupling pulse acts on the meter attached to |gg> and is carried
 out by the meter class: the light shift is an exact displacement of the
 Gaussian meter branches, and the partial C2-NOT rotates a qubit meter. The
 strong measurement of |gg> against the rest is not a PulseOp but data: its
-two groups of internal rows, onto which run_strong_comparison projects.
+two groups of internal rows, which run_strong_comparison hands to project_rows.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Basis order per ion is (g, e, f), fixed. The two-ion internal index is
 ion-1 major: index = 3 * idx(ion1) + idx(ion2), so the nine internal
 labels run gg, ge, gf, eg, ee, ef, fg, fe, ff. Amplitudes are stored as a
 (9, M) complex array with the meter branch as the minor axis; M = 1 when
-no meter is attached. On a batched Gaussian meter the amplitudes are shared
-or carry the leading batch axis, (B, 9, M), and the engine functions here
-broadcast over it; a state without one runs the same lines.
+no meter is attached. A leading batch axis, (B, 9, M), holds the groups of
+a projection (project_rows) or a batched Gaussian meter's center sets, which
+may also share the amplitudes; the engine functions here broadcast over it,
+and a state without one runs the same lines.
 
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
 module and are re-exported here. A state asks its meter for one metric,
@@ -115,6 +116,14 @@ def project_internal(state: SystemState, target: str):
     amps = np.zeros(probability.shape + state.amplitudes.shape[-2:], dtype=complex)
     amps[..., idx, :] = state.amplitudes[..., idx, :] / np.sqrt(probability)[..., None]
     return probability.tolist(), SystemState(amps, state.meter)
+
+
+def project_rows(state: SystemState, groups) -> SystemState:
+    """Project an unbatched state onto G groups of rows: (G, 9, M), not renormalized, rows copied into zeros."""
+    amps = np.zeros((len(groups), *state.amplitudes.shape), dtype=complex)
+    for k, rows in enumerate(groups):  # rows: an internal index or a list of them
+        amps[k, rows] = state.amplitudes[rows]
+    return SystemState(amps, state.meter)
 
 
 def internal_probabilities(state: SystemState) -> dict[str, float]:

@@ -1,9 +1,12 @@
 """Property tests: a batch run of the weak Gaussian experiment is B scalar runs, bit for bit,
-and a, given in units of sigma, is run as entered: sigma scales only the reported lengths."""
+and a, given in units of sigma, is run as entered: sigma scales only the reported lengths.
+A batch of projections onto a partition of the rows adds up to the state, before and after
+the recombining pulses."""
 
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 
 from hardyions import cli
 from hardyions.meter import evaluate_gaussian, to_grid
-from hardyions.protocol import RunConfig, run_weak_gaussian
+from hardyions.protocol import RECOMBINE, RunConfig, evolve, run_weak_gaussian
 from hardyions.shots import prepare_experiment
+from hardyions.statecore import N_INTERNAL, NoMeter, QubitMeter, SystemState, project_rows
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -92,3 +96,25 @@ def test_prepared_experiment_scales_only_its_positions(sigma, ratio):
     assert scaled.accept_below == unit.accept_below
     assert scaled.cdf.tobytes() == unit.cdf.tobytes()
     assert scaled.xs.tobytes() == (unit.xs * sigma).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    meter=st.sampled_from([NoMeter(), QubitMeter()]),
+    parts=st.lists(st.integers(0, 8), min_size=N_INTERNAL, max_size=N_INTERNAL),
+)
+def test_projections_onto_a_partition_of_the_rows_add_up(seed, meter, parts):
+    # row i goes to group parts[i]; the groups are the non-empty ones, in order
+    rng = np.random.default_rng(seed)
+    state = SystemState(rng.normal(size=(N_INTERNAL, meter.dim)) + 1j * rng.normal(size=(N_INTERNAL, meter.dim)), meter)
+    groups = [[i for i in range(N_INTERNAL) if parts[i] == part] for part in sorted(set(parts))]
+    projected = project_rows(state, groups)
+    for element, rows in zip(projected.amplitudes, groups):
+        assert element[rows].tobytes() == state.amplitudes[rows].tobytes()
+        rest = np.delete(element, rows, axis=0).view(float)
+        assert not rest.any() and not np.signbit(rest).any()  # positive zeros
+    assert math.fsum(projected.norm_sq.tolist()) == pytest.approx(state.norm_sq, rel=1e-15, abs=0)
+    whole = evolve(state, RECOMBINE).amplitudes
+    summed = evolve(projected, RECOMBINE).amplitudes.sum(axis=0)
+    assert np.abs(summed - whole).max() <= 1e-15 * np.abs(whole).max()

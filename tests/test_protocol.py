@@ -79,13 +79,14 @@ class TestEngine:
         "run, most",
         [
             (run_ideal, 6),
-            (run_strong_comparison, 16),
+            (run_strong_comparison, 10),
             (lambda: prepare_experiment(RunConfig(a=1.7)), 8),
         ],
         ids=["run_ideal", "run_strong_comparison", "prepare_experiment"],
     )
     def test_no_state_built_only_for_its_norm(self, monkeypatch, cold_reports, run, most):
-        # cold: one state per pulse, per conditional state and per collapsed branch
+        # cold: one state per pulse and per conditional state; the strong comparison's branches
+        # are one batch of projections and one collapsed batch
         built = []
         post_init = SystemState.__post_init__
         monkeypatch.setattr(
@@ -93,6 +94,16 @@ class TestEngine:
         )
         run()
         assert len(built) <= most
+
+    def test_cold_strong_comparison_applies_seven_pulses(self, monkeypatch, cold_reports):
+        # the ideal run's five pulses, then one RECOMBINE for the batch of both branches
+        from hardyions import protocol
+
+        applied = []
+        apply = protocol.apply_unitary
+        monkeypatch.setattr(protocol, "apply_unitary", lambda state, op: applied.append(op.label) or apply(state, op))
+        run_strong_comparison()
+        assert applied == [op.label for op in (*IDEAL.sequence, *RECOMBINE)]
 
     @pytest.mark.parametrize("run", [run_ideal, run_strong_comparison])
     def test_warm_report_runs_nothing(self, monkeypatch, cold_reports, run):
@@ -174,8 +185,8 @@ class TestEngine:
             intermediate_state()
 
     def test_weak_values_run_through_the_engine(self, monkeypatch):
-        # warm, the ideal run's two recombining pulses give the denominator and each of the
-        # four projected intermediate states passes through the same two pulses
+        # warm, the ideal run's two recombining pulses give the denominator, and the four
+        # projected intermediate states pass through the same two pulses as one batch
         from hardyions import protocol
 
         intermediate_state(NoMeter())
@@ -185,7 +196,7 @@ class TestEngine:
             protocol, "apply_unitary", lambda state, op: calls.append(op.label) or apply(state, op)
         )
         values = protocol._evolved_weak_values()
-        assert calls == [op.label for op in RECOMBINE] * 5
+        assert calls == [op.label for op in RECOMBINE] * 2
         stored = weak_values_postselected()
         assert list(values) == list(stored) == ["gg", "ge", "eg", "ff"]
         assert np.array(list(values.values())).tobytes() == np.array(list(stored.values())).tobytes()
@@ -279,6 +290,19 @@ class TestWeakGaussian:
         report = run_weak_gaussian(0.8)
         _, grid_var = grid_moments(to_grid(report.conditional_pointer))
         assert report.pointer_variance == pytest.approx(grid_var, rel=1e-6)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63, reason="a subnormal center's half is exact only in the x87 longdouble"
+    )
+    def test_subnormal_light_shift_mean_is_the_closed_form(self):
+        # g = 1 below the smallest normal double, so the closed form is +a exactly; halving the
+        # centers in double precision rounded -a / 2 (to -0.0 at a = 5e-324)
+        shifts = [5e-324, 1e-323, 5.4e-323, 1.04e-322, 1e-320, 2.2250738585072014e-308]
+        for a in shifts:
+            report = run_weak_gaussian(a)
+            assert report.pointer_mean == report.closed_form_mean == a
+        batch = run_weak_gaussian(np.array(shifts))
+        assert batch.pointer_mean == batch.closed_form_mean == shifts
 
     def test_midpoint_beyond_half_the_double_range_rejected(self):
         # branch centers 0 and -1.7e308: their sum overflows a double, their halves do not,

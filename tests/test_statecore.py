@@ -18,6 +18,7 @@ from hardyions.statecore import (
     internal_probabilities,
     pointer_component,
     project_internal,
+    project_rows,
     state_to_json_dict,
 )
 
@@ -214,6 +215,36 @@ class TestNormAndProjection:
                     reference = SystemState(projected, meter).norm_sq
                     assert rows[idx] == pytest.approx(reference, rel=1e-14)
                 assert rows.sum() == pytest.approx(state.norm_sq, rel=1e-13)
+
+    def test_euclidean_metric_takes_a_batch_axis(self):
+        # G different states stacked as (G, 9, M): each element's row norms, and each element of
+        # the stacked state after a pulse, bit for bit as the element alone
+        rng = np.random.default_rng(12)
+        for meter in (NoMeter(), QubitMeter()):
+            states = [random_state(rng, meter) for _ in range(5)]
+            stacked = SystemState(np.stack([state.amplitudes for state in states]), meter)
+            rows = meter.row_norms_sq(stacked.amplitudes)
+            assert rows.shape == (5, N_INTERNAL)
+            assert rows.tobytes() == np.stack([meter.row_norms_sq(state.amplitudes) for state in states]).tobytes()
+            pulsed = apply_unitary(stacked, beamsplitter(1))
+            assert pulsed.amplitudes.shape == (5, N_INTERNAL, meter.dim)
+            for element, state in zip(pulsed.amplitudes, states):
+                assert element.tobytes() == apply_unitary(state, beamsplitter(1)).amplitudes.tobytes()
+
+    def test_project_rows_copies_each_group_into_zeros(self):
+        # a row is copied, not multiplied by a mask, so a negative zero stays one and the other
+        # rows hold positive zeros; a group is one index or a list of them
+        amps = np.zeros((N_INTERNAL, 2), dtype=complex)
+        amps[0] = [complex(-0.0, -0.0), 0.5]
+        amps[4] = [0.5j, 0.0]
+        state = SystemState(amps, QubitMeter())
+        projected = project_rows(state, ([4, 0], 4, [1, 2]))
+        assert projected.meter == state.meter and projected.amplitudes.shape == (3, N_INTERNAL, 2)
+        expected = np.zeros((3, N_INTERNAL, 2), dtype=complex)
+        expected[0, [0, 4]] = amps[[0, 4]]
+        expected[1, 4] = amps[4]
+        assert projected.amplitudes.tobytes() == expected.tobytes()
+        assert projected.norm_sq.tolist() == [0.5, 0.25, 0.0]  # not renormalized
 
     def test_conditional_state_is_normalized(self):
         rng = np.random.default_rng(5)
