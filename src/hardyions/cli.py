@@ -215,51 +215,37 @@ def _cmd_third_ion(args, opts):
     return report.to_json_dict(), text, EXIT_OK
 
 
-_BLOCK = 1000  # rows in a block of rejected rows: shots k*1000 .. k*1000+999
-_WRITE_ROWS = 2 * _BLOCK  # about 25 KB per write call; a whole batch per call costs 4.5 MB of peak RSS
+_BLOCK = 1000  # rows in a block: shots k*1000 .. k*1000+999, about 12 KB, written in one call
 
 
 @cache
-def _block_parts() -> tuple[list[str], str]:
-    """The tails "000,0,\\r\\n" .. "999,0,\\r\\n" that str(k) joins into block k, and block 0; built on first use."""
-    return ["", *(f"{j:03d},0,\r\n" for j in range(_BLOCK))], "".join(f"{s},0,\r\n" for s in range(_BLOCK))
-
-
-def _rejected_length(shots):
-    """Characters in the rejected rows of shots 0 .. s-1, for each s: 6 per row, plus its digits past the first."""
-    return 6 * shots + sum(np.maximum(shots - 10**p, 0) for p in range(1, 19))
+def _block_rows() -> tuple[list[str], list[str]]:
+    """Block 0's rows "0,0,\\r\\n" .. "999,0,\\r\\n", and the tails "000,0,\\r\\n" .. "999,0,\\r\\n" that str(k)
+    joins into block k; each list starts with "", so that a join puts str(k) before every row. Built on first use."""
+    return ["", *(f"{s},0,\r\n" for s in range(_BLOCK))], ["", *(f"{j:03d},0,\r\n" for j in range(_BLOCK))]
 
 
 def _write_per_shot_batch(write, first_shot, size, hits, samples) -> None:
-    """Write one batch's per-shot CSV rows, cut from 1000-row blocks of rejected rows.
+    """Write one batch's per-shot CSV rows, one 1000-row block (or the part of it in the batch) per call.
 
     hits are the sorted offsets of the accepted shots in [0, size). The bytes are those the
     csv module writes: rows end in \\r\\n and x_sample is the repr of the float, empty on
-    rejected shots. Only accepted rows are formatted, each over its "0,\\r\\n".
+    rejected shots. Each block is a copy of its rejected rows, with each accepted row replaced.
     """
-    tails, block_0 = _block_parts()
-    end = first_shot + size
-    starts = np.arange(first_shot - first_shot % _WRITE_ROWS, end, _WRITE_ROWS)
-    stops = np.minimum(starts + _WRITE_ROWS, end)
-    hits = hits + first_shot
-    row_ends = _rejected_length(hits + 1) - 4  # where each accepted row's "0,\r\n" starts
-    begin = int(_rejected_length(first_shot))
+    block_0, tails = _block_rows()
+    blocks = range(first_shot // _BLOCK, -(-(first_shot + size) // _BLOCK))
     taken = 0
-    for start, stop, base, last, split in zip(
-        starts.tolist(), stops.tolist(), _rejected_length(starts).tolist(),
-        _rejected_length(stops).tolist(), np.searchsorted(hits, stops).tolist(),
-    ):
-        blocks = range(start // _BLOCK, -(-stop // _BLOCK))
-        text = "".join([str(k).join(tails) if k else block_0 for k in blocks])
-        pos = max(begin - base, 0)
-        pieces = []
-        # lists of one write's rows only: lists of a whole batch's would outweigh the blocks
-        for row_end, x in zip((row_ends[taken:split] - base).tolist(), samples[taken:split].tolist()):
-            pieces += text[pos:row_end], f"1,{x!r}\r\n"
-            pos = row_end + 4
-        pieces.append(text[pos : last - base])
-        write("".join(pieces))
-        taken = split
+    for k, stop in zip(blocks, np.searchsorted(hits, [(k + 1) * _BLOCK - first_shot for k in blocks]).tolist()):
+        start = k * _BLOCK - first_shot  # the batch offset of the block's first row
+        first = max(-start, 0)  # the first of the block's rows in the batch
+        rows = (tails if k else block_0)[first : min(size - start, _BLOCK) + 1]
+        rows[0] = ""  # the list's own "", or the row before the batch
+        # batch offset h is row h - start of the block, at rows[h - start - first + 1]; lists of
+        # one block's accepted shots only: lists of a whole batch's would outweigh the block
+        for i, x in zip((hits[taken:stop] - (start + first - 1)).tolist(), samples[taken:stop].tolist()):
+            rows[i] = f"{rows[i][:-4]}1,{x!r}\r\n"
+        write((str(k) if k else "").join(rows))
+        taken = stop
 
 
 def _cmd_mc(args, opts):

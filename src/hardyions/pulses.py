@@ -77,6 +77,8 @@ class CouplingPulseOp:
     def apply(self, state: SystemState) -> SystemState:
         if type(state.meter) is not self.meter_type:
             raise ValueError(f"{self.label} requires a {self.meter_type.__name__}, got {type(state.meter).__name__}")
+        if state.amplitudes.ndim == 3:  # a batched meter's center sets keep (9, M) amplitudes
+            raise ValueError(f"{self.label} acts on one state, got a batch of {len(state.amplitudes)}")
         return SystemState(*state.meter.couple(state.amplitudes, GG_INDEX, self.action))
 
     def unitarity_defect(self) -> float:

@@ -142,6 +142,8 @@ def pointer_component(state: SystemState, target: str):
 
 def state_to_json_dict(state: SystemState) -> dict:
     """Amplitude dump {label: [re, im]}, branch index suffixed as '#k' when M > 1."""
+    if state.amplitudes.ndim == 3:
+        raise ValueError(f"an amplitude dump holds one state, got a batch of {len(state.amplitudes)}")
     many = state.meter.dim > 1
     out = {}
     for idx, label in enumerate(BASIS_LABELS):

@@ -386,10 +386,11 @@ def write_reference_per_shot(path, batches):
     Path(path).write_text(reference_per_shot(batches), encoding="utf-8", newline="")
 
 
-# first shots at and around every power of ten up to 10**12, where rows gain a digit, and
-# every multiple of 1000, where the writer's blocks of rejected rows start
+# first shots at and around every power of ten up to 10**18, where rows gain a digit, around
+# 2**62, and at every multiple of 1000, where the writer's blocks of rows start: the whole int64 range
 FIRST_SHOTS = st.one_of(
-    st.builds(lambda p, d: max(0, 10**p + d), st.integers(0, 12), st.integers(-5000, 5000)),
+    st.builds(lambda p, d: max(0, 10**p + d), st.integers(0, 18), st.integers(-5000, 5000)),
+    st.builds(lambda d: 2**62 + d, st.integers(-5000, 5000)),
     st.builds(lambda m, d: max(0, 1000 * m + d), st.integers(0, 10**9), st.integers(-3, 3)),
 )
 # every form repr gives a float: signed zero, integral, small and large exponents, subnormal, max
@@ -468,7 +469,7 @@ class TestPerShotWriter:
 
     def test_each_write_is_bounded(self, capsys, tmp_path, monkeypatch):
         # Writing a whole batch in one call raised the benchmark's mc_per_shot peak_rss_mb
-        # from 47.1 to 51.6 MB; two 1000-row blocks per call (about 25 KB) keep it at or below
+        # from 47.1 to 51.6 MB; one 1000-row block per call (about 12 KB) keeps it at or below
         # the per-row writer's. The largest write must not grow with the batch.
         write_batch = cli._write_per_shot_batch
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyions.errors import InvariantError
+from hardyions.protocol import UNIT_METER, intermediate_state
 from hardyions.pulses import (
     InternalPulseOp,
     annihilation_pulse,
@@ -21,6 +22,7 @@ from hardyions.statecore import (
     apply_unitary,
     init_ground,
     pointer_component,
+    project_rows,
 )
 
 UNITARITY_TOL = 1e-12
@@ -160,6 +162,11 @@ class TestLightShift:
             out = light_shift_meter(rng.uniform(-1, 1)).apply(state)
             assert abs(out.norm - 1.0) < 1e-12
 
+    def test_batched_amplitudes_rejected(self):
+        projected = project_rows(intermediate_state(UNIT_METER), ([0], [1, 3]))
+        with pytest.raises(ValueError, match=r"^light_shift\(a=0.5\) acts on one state, got a batch of 2$"):
+            apply_unitary(projected, light_shift_meter(0.5))
+
 
 class TestPartialCcnot:
     def test_zero_angle_is_identity(self):
@@ -185,6 +192,11 @@ class TestPartialCcnot:
     def test_requires_qubit_meter(self):
         with pytest.raises(ValueError, match="QubitMeter"):
             partial_ccnot(0.1).apply(init_ground())
+
+    def test_batched_amplitudes_rejected(self):
+        batch = SystemState(np.ones((3, N_INTERNAL, 2)), QubitMeter())
+        with pytest.raises(ValueError, match=r"acts on one state, got a batch of 3$"):
+            apply_unitary(batch, partial_ccnot(0.3))
 
 
 class TestUnitarity:

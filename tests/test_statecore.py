@@ -325,6 +325,11 @@ class TestSerialization:
         assert list(dump.keys())[:4] == ["gg#0", "gg#1", "ge#0", "ge#1"]
         assert json.dumps(dump)  # JSON-serializable
 
+    def test_batch_dump_rejected(self):
+        batch = SystemState(np.ones((3, N_INTERNAL, 2)), QubitMeter())
+        with pytest.raises(ValueError, match="^an amplitude dump holds one state, got a batch of 3$"):
+            state_to_json_dict(batch)
+
     def test_amplitudes_are_immutable(self):
         state = init_ground()
         with pytest.raises(ValueError):
