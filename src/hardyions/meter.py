@@ -1,19 +1,19 @@
 """Meters of the interferometer and the pointers they read out.
 
-Each meter class owns its basis (dim, fiducial), its metric (row_norms_sq,
-the norm of each of the nine internal outcomes), its readout (pointer) and,
-for the meters a pulse couples to, that coupling (couple returns the new
-amplitudes and meter). This module alone knows the Gaussian branch
-representation: the Gram kernel, the one contraction that computes every
-quadratic form over it, the light-shift displacement and the readout. A
-GaussianMeter, keyed on sigma and its points, holds its centers only as
-the read-only points array: one set, shape (M,), or a batch of sets, shape
-(B, M), with one sigma; kernels, forms and moments carry the batch axis,
-and one set runs the same lines. A GaussianPointer is a view on a
-GaussianMeter and one coefficient per center; read from a state, it
-shares the state's meter and cached kernel. A sampled position grid
-serves as an independent numerical oracle, and a two-level pointer reads
-out the third-ion scheme.
+Each meter class owns its basis (dim, fiducial), its metric (row_norms_sq
+of the nine internal outcomes, row_norm_sq of one, norm_sq of a state), its
+readout (pointer) and, for the meters a pulse couples to, that coupling
+(couple returns the new amplitudes and meter). This module alone knows the
+Gaussian branch representation: the Gram kernel, the two contractions over
+it (each row's quadratic form, and a state's norm from its M x M branch
+overlaps), the light-shift displacement and the readout. A GaussianMeter,
+keyed on sigma and its points, holds its centers only as the read-only
+points array: one set, shape (M,), or a batch of sets, shape (B, M), with
+one sigma; kernels, forms and moments carry the batch axis, and one set
+runs the same lines. A GaussianPointer is a view on a GaussianMeter and
+one coefficient per center; read from a state, it shares the state's meter
+and cached kernel. A sampled position grid serves as an independent
+numerical oracle, and a two-level pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -40,8 +40,8 @@ GRID_PADDING_SIGMAS = 6.0
 # Post-selected pointer means sit on near-complete cancellations between
 # Gram terms, so the kernel is built in extended precision (80-bit on x86
 # Linux; degrades gracefully where longdouble == double) and every quadratic
-# form, taken through _gram_forms, is promoted to it. This name alone sets
-# that precision.
+# form, taken through _gram_forms or _overlap_norms, is promoted to it. This
+# name alone sets that precision.
 _LD = np.longdouble
 
 
@@ -68,6 +68,16 @@ def _gram_forms(bra: np.ndarray, kernel: np.ndarray, ket: np.ndarray) -> np.ndar
     return np.einsum("...im,...mn,...in->...i", np.conj(bra), kernel, ket)
 
 
+def _overlap_norms(amplitudes: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The rows' forms summed, as sum_mn Re S[..., m, n] kernel[..., m, n], in the kernel's precision.
+
+    S[..., m, n] = sum_i conj(a_im) a_in are the branch overlaps (Hermitian; the kernel is real):
+    M^2 terms per kernel where the rows take 9 M^2, and amplitudes shared by a batch of kernels form S once.
+    """
+    amps = amplitudes.astype(np.result_type(kernel, amplitudes))
+    return np.einsum("...mn,...mn->...", (amps.conj().mT @ amps).real, kernel)
+
+
 def gram_matrix(sigma: float, centers) -> np.ndarray:
     """Gram matrix G[..., i, j] = <phi_{d_i}|phi_{d_j}> of each set of equal-width branches."""
     d = np.asarray(centers, dtype=float)
@@ -85,10 +95,16 @@ def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
 
 
 class _EuclideanMetric:
-    """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
+    """Metric of an orthonormal meter basis: sums of |amplitude|^2; a state's norms read its kept rows."""
 
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         return np.einsum("...im,...im->...i", np.conj(amplitudes), amplitudes).real
+
+    def norm_sq(self, state):
+        return np.add.accumulate(state.row_norms.T)[-1]  # the row norms summed in order
+
+    def row_norm_sq(self, state, idx: int):
+        return state.row_norms.T[idx]
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,14 @@ class GaussianMeter:
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         """Gram-kernel quadratic form of each internal row, shape (..., 9); rounding below 0 reads 0."""
         return np.maximum(_gram_forms(amplitudes, self.gram, amplitudes).real.astype(float), 0.0)
+
+    def norm_sq(self, state):
+        """The state's norm from its branch overlaps (_overlap_norms); rounding below 0 reads 0."""
+        return np.maximum(_overlap_norms(state.amplitudes, self.gram).astype(float), 0.0)
+
+    def row_norm_sq(self, state, idx: int):
+        """The norm of internal row idx alone: the bits of row_norms_sq(state.amplitudes)[..., idx]."""
+        return self.row_norms_sq(state.amplitudes[..., idx : idx + 1, :])[..., 0]
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
         """The branches of one component as a GaussianPointer: a view on this meter that shares its kernel."""

@@ -27,8 +27,7 @@ _FF = BASIS_LABELS.index("ff")
 
 
 def _unitarity_defect(matrix: np.ndarray) -> float:
-    dim = matrix.shape[0]
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
+    return float(abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,9 @@ may also share the amplitudes; the engine functions here broadcast over it,
 and a state without one runs the same lines.
 
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
-module and are re-exported here. A state asks its meter for one metric,
-the nine per-outcome row norms, and keeps them: outcome probabilities and
-projections read them, and the state's norm_sq is their sum. A Gaussian
+module and are re-exported here. A state asks its meter for its norm (the
+pulses' norm check), for one outcome's row norm (post-selection) and for
+the nine row norms, which the state keeps (the outcome table). A Gaussian
 meter's Gram kernel never appears in this module.
 """
 
@@ -66,8 +66,8 @@ class SystemState:
 
     @property
     def norm_sq(self):
-        """The row norms summed in order: a float, or an array over a batch."""
-        return np.add.accumulate(self.row_norms.T)[-1]
+        """The meter's norm of the state: a float, or an array over a batch."""
+        return self.meter.norm_sq(self)
 
     @property
     def norm(self):
@@ -110,7 +110,7 @@ def project_internal(state: SystemState, target: str):
     renormalized conditional state; PostSelectionError when it is below NORM_FLOOR.
     """
     idx = BASIS_LABELS.index(target)
-    probability = state.row_norms.T[idx]
+    probability = state.meter.row_norm_sq(state, idx)
     if np.count_nonzero(probability < NORM_FLOOR):
         raise PostSelectionError(f"post-selection impossible: P({target}) = {np.min(probability):.3e}")
     amps = np.zeros(probability.shape + state.amplitudes.shape[-2:], dtype=complex)

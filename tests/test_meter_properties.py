@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyions.errors import InvariantError
-from hardyions.meter import GaussianMeter, GaussianPointer, gaussian_moments, gaussian_norm_sq
+from hardyions.meter import (
+    _LD,
+    GaussianMeter,
+    GaussianPointer,
+    _gram_forms,
+    _overlap_norms,
+    gaussian_moments,
+    gaussian_norm_sq,
+)
 from hardyions.statecore import BASIS_LABELS, N_INTERNAL, SystemState, pointer_component
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -77,3 +85,43 @@ def test_zero_branches_change_no_bit_of_the_readout(case):
     view = pointer_component(state, label)
     assert gaussian_norm_sq(view) == gaussian_norm_sq(nonzero)
     assert moments_or_error(view) == moments_or_error(nonzero)
+
+
+@st.composite
+def metered_states(draw):
+    """A Gaussian-metered state with some exact-zero amplitudes: one (9, M) state on one center
+    set, on a batch of B sets, a batch of G amplitude sets (G, 9, M), or both with B = G."""
+    sigma = draw(st.floats(0.05, 20.0))
+    m = draw(st.integers(1, 4))
+    sets, groups = draw(st.sampled_from([(0, 0), (3, 0), (0, 3), (3, 3)]))
+    offsets = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=max(sets, 1) * m, max_size=max(sets, 1) * m)))
+    shape = (groups, N_INTERNAL, m) if groups else (N_INTERNAL, m)
+    n = int(np.prod(shape))
+    moduli = np.array(draw(st.lists(st.just(0.0) | st.floats(0.01, 3.0), min_size=n, max_size=n))).reshape(shape)
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))).reshape(shape)
+    centers = sigma * offsets.reshape(sets, m) if sets else sigma * offsets
+    return SystemState(moduli * np.exp(1j * phases), GaussianMeter(sigma, centers))
+
+
+@PROPERTY_SETTINGS
+@given(metered_states())
+def test_one_row_form_is_that_row_of_the_nine(state):
+    rows = state.meter.row_norms_sq(state.amplitudes)
+    for idx in range(N_INTERNAL):
+        assert state.meter.row_norm_sq(state, idx).tobytes() == rows[..., idx].tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(metered_states())
+def test_overlap_norm_matches_the_row_forms_summed_in_order(state):
+    # both in the kernel's precision, summing the same 9 M^2 terms in two orders: each sum is off
+    # by at most about (9 + M^2) of its ulps times the terms' magnitudes, the form of |a|; a
+    # double-precision S would be off by some 2000 (eps(double) / eps(longdouble) on x86)
+    a, kernel = state.amplitudes, state.meter.gram
+    in_order = np.add.accumulate(_gram_forms(a, kernel, a).real, axis=-1)[..., -1]
+    overlaps = _overlap_norms(a, kernel)
+    assert overlaps.shape == in_order.shape
+    magnitude = _gram_forms(abs(a), kernel, abs(a)).real.sum(axis=-1)
+    bound = (N_INTERNAL + state.meter.dim**2) * np.finfo(_LD).eps * magnitude
+    assert (abs(overlaps - in_order) <= bound).all()
+    assert state.norm_sq.tobytes() == np.maximum(overlaps.astype(float), 0.0).tobytes()

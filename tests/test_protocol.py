@@ -396,6 +396,23 @@ class TestWeakGaussian:
         assert counts["run"] == 1
         assert len(capsys.readouterr().out.splitlines()) == 201
 
+    def test_row_forms_per_warm_run(self, monkeypatch):
+        # warm, the three norm checks read the branch overlaps and post-selection forms the |gg>
+        # row alone, on a batch of 200 displacements and on one
+        rows = []
+        row_norms_sq = GaussianMeter.row_norms_sq
+
+        def counted(meter, amplitudes):
+            rows.append(amplitudes.shape[-2])
+            return row_norms_sq(meter, amplitudes)
+
+        monkeypatch.setattr(GaussianMeter, "row_norms_sq", counted)
+        for a, expected in ((np.linspace(0.01, 5.0, 200), [1]), (0.9, [1])):
+            run_weak_gaussian(a)
+            rows.clear()
+            run_weak_gaussian(a)
+            assert rows == expected
+
 
 class TestUnitsOfSigma:
     """The weak Gaussian experiment runs on the unit meter; sigma enters where a length is reported."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyions.errors import InvariantError
+from hardyions.meter import qubit_rotation_matrix
 from hardyions.protocol import UNIT_METER, intermediate_state
 from hardyions.pulses import (
     InternalPulseOp,
@@ -218,6 +219,23 @@ class TestUnitarity:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(InvariantError, match="unitary"):
             InternalPulseOp("broken", np.ones((N_INTERNAL, N_INTERNAL)))
+
+    def test_defect_equals_the_numpy_function_form(self):
+        # the ndarray-method form changes no bit of the defect, on unitaries (QR factors) and off them
+        from hardyions.pulses import _unitarity_defect
+
+        def function_form(m):
+            return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+        rng = np.random.default_rng(29)
+        rotation = qubit_rotation_matrix(0.3)
+        assert _unitarity_defect(rotation) == function_form(rotation) == 1.1102230246251565e-16
+        for dim in (2, 3, N_INTERNAL):
+            for _ in range(20):
+                z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                unitary = np.linalg.qr(z)[0]
+                for m in (unitary, z, unitary * (1.0 + 1e-9)):
+                    assert _unitarity_defect(m) == function_form(m)
 
 
 class TestFullSequence:

@@ -170,6 +170,13 @@ class TestApplyUnitary:
             apply_unitary(state, Stretching())
         scale = np.array([1.0, 1.0 + 1e-15, 1.0, 1.0 - 1e-15])  # every drift within NORM_TOL
         assert apply_unitary(state, Stretching()).amplitudes.shape == (4, N_INTERNAL, 2)
+        for k in range(4):  # the threshold sits between relative stretches of 5e-13 and 2e-12
+            scale = np.ones(4)
+            scale[k] = 1.0 + 2e-12
+            with pytest.raises(InvariantError, match=rf"changed the norm by 2\.000e-12 in batch element {k}$"):
+                apply_unitary(state, Stretching())
+            scale[k] = 1.0 + 5e-13
+            apply_unitary(state, Stretching())
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -215,6 +222,17 @@ class TestNormAndProjection:
                     reference = SystemState(projected, meter).norm_sq
                     assert rows[idx] == pytest.approx(reference, rel=1e-14)
                 assert rows.sum() == pytest.approx(state.norm_sq, rel=1e-13)
+
+    def test_euclidean_meters_read_norm_and_rows_from_the_kept_rows(self):
+        # the norm is the kept row norms summed in order, and one outcome's probability is its row
+        rng = np.random.default_rng(29)
+        for meter in (NoMeter(), QubitMeter()):
+            for shape in ((N_INTERNAL, meter.dim), (3, N_INTERNAL, meter.dim)):
+                state = SystemState(rng.normal(size=shape) + 1j * rng.normal(size=shape), meter)
+                rows = meter.row_norms_sq(state.amplitudes)
+                assert state.norm_sq.tobytes() == np.add.accumulate(rows.T)[-1].tobytes()
+                for idx in range(N_INTERNAL):
+                    assert meter.row_norm_sq(state, idx).tobytes() == rows[..., idx].tobytes()
 
     def test_euclidean_metric_takes_a_batch_axis(self):
         # G different states stacked as (G, 9, M): each element's row norms, and each element of
