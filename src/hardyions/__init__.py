@@ -14,7 +14,6 @@ interferometer) run by one engine, protocol.evolve.
 from .errors import InvariantError, PostSelectionError
 from .meter import (
     GaussianPointer,
-    GridPointer,
     QubitPointer,
     gaussian_mean_x,
     gaussian_moments,

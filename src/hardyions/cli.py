@@ -120,7 +120,7 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve(args) -> dict:
     """The subcommand's run parameters: explicit flag, else config file, else default."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = _read_config_file(args.config) if args.config is not None else {}
     resolved = {}
     for key in _PARAMS:
         if hasattr(args, key):
@@ -134,7 +134,7 @@ def _resolve(args) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if args.out is not None:
         # Written in place: O_TRUNC would make the file system free the old blocks only to
         # allocate them again. A regular file longer than the text is then cut to its length;
         # a device or a pipe is never truncated. Only a run killed between the writes and the
@@ -250,7 +250,7 @@ def _write_per_shot_batch(write, first_shot, size, hits, samples) -> None:
 
 def _cmd_mc(args, opts):
     config = RunConfig(a=opts["a"], sigma=opts["sigma"], shots=opts["shots"], seed=opts["seed"])
-    if args.per_shot:
+    if args.per_shot is not None:
         # opened before sampling, so an unwritable path fails before any batch is drawn; truncated
         # on open, unlike --out, so that a run killed part-way leaves no old rows after the new
         with open(args.per_shot, "w", encoding="utf-8", newline="") as fh:

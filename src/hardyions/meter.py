@@ -1,19 +1,20 @@
 """Meters of the interferometer and the pointers they read out.
 
 Each meter class owns its basis (dim, fiducial), its metric (row_norms_sq
-of the nine internal outcomes, row_norm_sq of one, norm_sq of a state), its
-readout (pointer) and, for the meters a pulse couples to, that coupling
-(couple returns the new amplitudes and meter). This module alone knows the
-Gaussian branch representation: the Gram kernel, the two contractions over
-it (each row's quadratic form, and a state's norm from its M x M branch
-overlaps), the light-shift displacement and the readout. A GaussianMeter,
+of the nine internal outcomes, norm_sq of the whole), its readout (pointer)
+and, for the meters a pulse couples to, that coupling (couple returns the
+new amplitudes and meter). A meter measures amplitudes, never a state. This
+module alone knows the Gaussian branch representation: the Gram kernel, the
+two contractions over it (each row's quadratic form, and the norm from the
+M x M branch overlaps), the light-shift displacement and the readout. A GaussianMeter,
 keyed on sigma and its points, holds its centers only as the read-only
 points array: one set, shape (M,), or a batch of sets, shape (B, M), with
 one sigma; kernels, forms and moments carry the batch axis, and one set
 runs the same lines. A GaussianPointer is a view on a GaussianMeter and
 one coefficient per center; read from a state, it shares the state's meter
-and cached kernel. A sampled position grid serves as an independent
-numerical oracle, and a two-level pointer reads out the third-ion scheme.
+and cached kernel. The grid oracle (to_grid) samples a pointer as the
+arrays (xs, values), an independent numerical check, and a two-level
+pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -95,16 +96,13 @@ def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
 
 
 class _EuclideanMetric:
-    """Metric of an orthonormal meter basis: sums of |amplitude|^2; a state's norms read its kept rows."""
+    """Metric of an orthonormal meter basis: sums of |amplitude|^2."""
 
     def row_norms_sq(self, amplitudes: np.ndarray) -> np.ndarray:
         return np.einsum("...im,...im->...i", np.conj(amplitudes), amplitudes).real
 
-    def norm_sq(self, state):
-        return np.add.accumulate(state.row_norms.T)[-1]  # the row norms summed in order
-
-    def row_norm_sq(self, state, idx: int):
-        return state.row_norms.T[idx]
+    def norm_sq(self, amplitudes: np.ndarray):
+        return np.add.accumulate(self.row_norms_sq(amplitudes).T)[-1]  # the row norms summed in order
 
 
 @dataclass(frozen=True)
@@ -164,13 +162,9 @@ class GaussianMeter:
         """Gram-kernel quadratic form of each internal row, shape (..., 9); rounding below 0 reads 0."""
         return np.maximum(_gram_forms(amplitudes, self.gram, amplitudes).real.astype(float), 0.0)
 
-    def norm_sq(self, state):
-        """The state's norm from its branch overlaps (_overlap_norms); rounding below 0 reads 0."""
-        return np.maximum(_overlap_norms(state.amplitudes, self.gram).astype(float), 0.0)
-
-    def row_norm_sq(self, state, idx: int):
-        """The norm of internal row idx alone: the bits of row_norms_sq(state.amplitudes)[..., idx]."""
-        return self.row_norms_sq(state.amplitudes[..., idx : idx + 1, :])[..., 0]
+    def norm_sq(self, amplitudes: np.ndarray):
+        """The norm from the branch overlaps (_overlap_norms); rounding below 0 reads 0."""
+        return np.maximum(_overlap_norms(amplitudes, self.gram).astype(float), 0.0)
 
     def pointer(self, row: np.ndarray, label: str) -> GaussianPointer:
         """The branches of one component as a GaussianPointer: a view on this meter that shares its kernel."""
@@ -315,37 +309,6 @@ def gaussian_second_moment(p: GaussianPointer) -> float:
     return gaussian_moments(p)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class GridPointer:
-    """Wavefunction sampled on a uniform grid; the numerical oracle for GaussianPointer."""
-
-    xmin: float
-    xmax: float
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.xmax > self.xmin:
-            raise ValueError(f"need xmax > xmin, got [{self.xmin}, {self.xmax}]")
-        if self.n < 2:
-            raise ValueError("need at least two grid points")
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.n,):
-            raise ValueError(f"expected {self.n} samples, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite grid samples")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.xmin, self.xmax, self.n)
-
-    def norm_sq(self) -> float:
-        return float(np.trapezoid(np.abs(self.values) ** 2, self.xs))
-
-
 def evaluate_gaussian(p: GaussianPointer, xs: np.ndarray) -> np.ndarray:
     """Pointwise values sum_i c_i (2 pi sigma^2)^(-1/4) exp(-(x - d_i)^2 / (4 sigma^2))."""
     xs = np.asarray(xs, dtype=float)
@@ -361,34 +324,37 @@ def to_grid(
     xmin: float | None = None,
     xmax: float | None = None,
     n: int = GRID_POINTS_DEFAULT,
-) -> GridPointer:
-    """Sample the pointer on a uniform grid and renormalize.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pointer sampled at n uniform positions xs and renormalized: (xs, values).
 
     The window must cover every branch center by at least six sigma on
-    each side; the default window is exactly that.
+    each side; the default window is exactly that. ValueError on a
+    non-finite or empty window, n < 2, and non-finite samples or norm.
     """
     lo = float(min(d for _, d in p.branches))
     hi = float(max(d for _, d in p.branches))
-    if xmin is None:
-        xmin = lo - GRID_PADDING_SIGMAS * p.sigma
-    if xmax is None:
-        xmax = hi + GRID_PADDING_SIGMAS * p.sigma
-    if xmin > lo - GRID_PADDING_SIGMAS * p.sigma or xmax < hi + GRID_PADDING_SIGMAS * p.sigma:
+    pad = GRID_PADDING_SIGMAS * p.sigma
+    xmin, xmax = lo - pad if xmin is None else xmin, hi + pad if xmax is None else xmax
+    if not (math.isfinite(xmin) and math.isfinite(xmax) and n >= 2):
+        raise ValueError(f"need a finite window and at least two grid points, got [{xmin}, {xmax}] and {n}")
+    if xmin > lo - pad or xmax < hi + pad:
         raise ValueError(
             f"window [{xmin}, {xmax}] too small; need to cover centers "
             f"[{lo}, {hi}] padded by {GRID_PADDING_SIGMAS} sigma"
         )
-    grid = GridPointer(xmin, xmax, n, evaluate_gaussian(p, np.linspace(xmin, xmax, n)))
-    norm_sq = grid.norm_sq()
-    if norm_sq < NORM_FLOOR:
-        raise ValueError("cannot normalize a degenerate grid state")
-    return GridPointer(xmin, xmax, n, grid.values / math.sqrt(norm_sq))
+    xs = np.linspace(xmin, xmax, n)
+    with np.errstate(all="ignore"):  # a non-finite sample makes the norm non-finite, caught below
+        values = evaluate_gaussian(p, xs)
+        norm_sq = float(np.trapezoid(np.abs(values) ** 2, xs))
+    if not NORM_FLOOR <= norm_sq < math.inf:
+        raise ValueError(f"cannot normalize grid samples of norm^2 {norm_sq}")
+    return xs, values / math.sqrt(norm_sq)
 
 
-def grid_moments(p: GridPointer) -> tuple[float, float]:
-    """Trapezoid-rule (<x>, <x^2> - <x>^2) of a normalized grid state."""
-    xs = p.xs
-    density = np.abs(p.values) ** 2
+def grid_moments(grid: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """Trapezoid-rule (<x>, <x^2> - <x>^2) of a normalized grid state (xs, values)."""
+    xs, values = grid
+    density = np.abs(values) ** 2
     norm = np.trapezoid(density, xs)
     mean = float(np.trapezoid(xs * density, xs) / norm)
     second = float(np.trapezoid(xs * xs * density, xs) / norm)

@@ -84,6 +84,10 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for key in ("shots", "seed"):  # a numpy integer is kept as an int, so reports stay JSON scalars
+            if not isinstance(value := getattr(self, key), (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if check_sigma(self.sigma) * self.sigma < sys.float_info.min:  # below it, squared samples underflow
             raise ValueError(f"sigma^2 underflows a double, got sigma = {self.sigma}")
         check_a(self.a)
@@ -275,6 +279,7 @@ def closed_form_mean(a, sigma: float = 1.0):
     Positive (equal to +a) for small a, zero at a^2 = 8 ln(2) sigma^2,
     negative beyond. A float, or a list for an array of a.
     """
+    a = np.asarray(a, dtype=float)
     g = meter_mod.gauss_kernel(a, check_sigma(sigma))  # the quotient inherits the kernel's precision
     return np.asarray(-a * (1.0 - 2.0 * g) / (5.0 - 4.0 * g), dtype=float).tolist()
 

@@ -6,12 +6,12 @@ count first, from one uniform inverted against a table of that CDF. The
 table's weights step outward from the mode by the pmf ratio in IEEE * and /
 only, so the stream does not depend on libm. Accepted shots then draw a
 pointer position from |phi_c(x)|^2, a mixture of uniforms over the CDF
-intervals of the grid oracle, by its alias table (Walker, ACM Trans. Math.
-Softw. 3, 253 (1977)): three gathers and no search. The light shift
-config.a is in units of sigma, and so is the grid; its positions are
-scaled to lengths once. Only a caller that asks which shots were accepted
-draws their offsets, after the samples and from the same generator, so a
-run's summary does not depend on whether it does.
+intervals of the grid oracle's samples (xs, values), by its alias table
+(Walker, ACM Trans. Math. Softw. 3, 253 (1977)): three gathers, no search.
+The light shift config.a is in units of sigma, and so is the grid; its
+positions are scaled to lengths once. Only a caller that asks which shots
+were accepted draws their offsets, after the samples and from the same
+generator, so a run's summary does not depend on whether it does.
 Randomness comes from numpy's default generator (PCG64), seeded per batch
 from (seed, batch_index), so results are reproducible bit for bit and
 batches may be evaluated independently and merged in index order.
@@ -56,9 +56,8 @@ class ShotResult:
 def _inverse_cdf_table(pointer: GaussianPointer, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     lo = min(d for _, d in pointer.branches) - SAMPLING_PADDING_SIGMAS
     hi = max(d for _, d in pointer.branches) + SAMPLING_PADDING_SIGMAS
-    grid = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
-    xs = grid.xs
-    density = np.abs(grid.values) ** 2
+    xs, values = to_grid(pointer, lo, hi, SAMPLING_GRID_POINTS)
+    density = np.abs(values) ** 2
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))])
     cdf /= cdf[-1]
     return cdf, xs * sigma

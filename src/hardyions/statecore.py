@@ -10,10 +10,10 @@ may also share the amplitudes; the engine functions here broadcast over it,
 and a state without one runs the same lines.
 
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
-module and are re-exported here. A state asks its meter for its norm (the
-pulses' norm check), for one outcome's row norm (post-selection) and for
-the nine row norms, which the state keeps (the outcome table). A Gaussian
-meter's Gram kernel never appears in this module.
+module and are re-exported here. A meter measures amplitudes: the norm
+(the pulses' norm check; a state keeps only its norm, which the next pulse
+reads again), one outcome's row alone (post-selection) and the nine rows
+(the outcome table). A Gaussian meter's Gram kernel never appears here.
 """
 
 from __future__ import annotations
@@ -59,15 +59,13 @@ class SystemState:
 
     @property
     def row_norms(self) -> np.ndarray:
-        """The meter's norm of each internal row, shape (..., 9), kept with the state."""
-        if "_rows" not in self.__dict__:
-            self.__dict__["_rows"] = self.meter.row_norms_sq(self.amplitudes)
-        return self.__dict__["_rows"]
+        """The meter's norm of each internal row, shape (..., 9)."""
+        return self.meter.row_norms_sq(self.amplitudes)
 
     @property
     def norm_sq(self):
         """The meter's norm of the state: a float, or an array over a batch."""
-        return self.meter.norm_sq(self)
+        return self.meter.norm_sq(self.amplitudes)
 
     @property
     def norm(self):
@@ -110,7 +108,7 @@ def project_internal(state: SystemState, target: str):
     renormalized conditional state; PostSelectionError when it is below NORM_FLOOR.
     """
     idx = BASIS_LABELS.index(target)
-    probability = state.meter.row_norm_sq(state, idx)
+    probability = state.meter.row_norms_sq(state.amplitudes[..., idx : idx + 1, :])[..., 0]  # that row alone
     if np.count_nonzero(probability < NORM_FLOOR):
         raise PostSelectionError(f"post-selection impossible: P({target}) = {np.min(probability):.3e}")
     amps = np.zeros(probability.shape + state.amplitudes.shape[-2:], dtype=complex)

@@ -752,6 +752,13 @@ class TestOutputFiles:
         assert (code, out) == (2, "")
         assert err == f"error: [Errno {number}] {os.strerror(number)}: {str(path)!r}\n"
 
+    @pytest.mark.parametrize("argv", [["ideal", "--out"], ["mc", "--shots", "1000", "--per-shot"], ["weak", "--config"]])
+    def test_empty_path_cannot_be_opened(self, capsys, argv):
+        # an empty path names no file: it is not read as "no path"
+        code, out, err = run_cli(capsys, *argv, "")
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n"
+
     @staticmethod
     def _drained(capsys, open_reader, out_path):
         """Run a scan of about 235 KB (over three 64 KiB pipe buffers) into out_path while a thread

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from hardyions.meter import (
     GaussianMeter,
     GaussianPointer,
-    GridPointer,
     QubitPointer,
     cross_gram,
     evaluate_gaussian,
@@ -136,9 +136,12 @@ class TestGrid:
         assert abs(mean) < 1e-8
         assert var == pytest.approx(1.0, rel=1e-6)
 
-    def test_norm_after_construction(self):
-        grid = to_grid(conditional_shape(0.5))
-        assert grid.norm_sq() == pytest.approx(1.0, abs=1e-9)
+    def test_samples_on_the_padded_window_renormalized(self):
+        # (xs, values): n uniform positions over the centers padded by six sigma, and unit trapezoid norm
+        xs, values = to_grid(conditional_shape(0.5), n=1001)
+        assert xs.tobytes() == np.linspace(-0.5 - 6.0, 6.0, 1001).tobytes()
+        assert values.shape == xs.shape and values.dtype == complex
+        assert np.trapezoid(np.abs(values) ** 2, xs) == pytest.approx(1.0, abs=1e-12)
 
     def test_displaced_branch(self):
         a = 0.8
@@ -163,10 +166,24 @@ class TestGrid:
             to_grid(single(0.0), xmin=-2.0, xmax=2.0)
 
     def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
-            GridPointer(1.0, -1.0, 16, np.zeros(16))
-        with pytest.raises(ValueError):
-            GridPointer(-1.0, 1.0, 1, np.zeros(1))
+        # each as a ValueError, with numpy's warnings raised as errors
+        cases = [
+            (single(0.0), {"xmin": 7.0, "xmax": -7.0}, "too small"),  # empty
+            (single(0.0), {"xmin": 7.0, "xmax": 7.0}, "too small"),  # empty
+            (single(0.0), {"xmin": -math.inf}, "finite window"),
+            (single(0.0), {"xmax": math.inf}, "finite window"),
+            (single(0.0), {"xmin": math.nan}, "finite window"),
+            (single(0.0), {"xmax": math.nan}, "finite window"),
+            (single(0.0), {"n": 1}, "two grid points"),
+            (single(0.0), {"n": 0}, "two grid points"),
+            (single(0.0, sigma=1e-10, coeff=1e305), {}, "cannot normalize"),  # c (2 pi sigma^2)^(-1/4) = inf
+            (single(0.0, sigma=1e-10, coeff=1e300), {}, "cannot normalize"),  # finite samples whose squares overflow
+        ]
+        for pointer, kwargs, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    to_grid(pointer, **kwargs)
 
 
 class TestOracleEquivalence:

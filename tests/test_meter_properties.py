@@ -1,10 +1,11 @@
-"""Property tests: a Gaussian pointer read out of a state is a view on the state's meter."""
+"""Property tests: the meters' norms, and a Gaussian pointer read out of a state as a view on its meter."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyions.errors import InvariantError
+from hardyions.errors import InvariantError, PostSelectionError
 from hardyions.meter import (
     _LD,
     GaussianMeter,
@@ -14,7 +15,16 @@ from hardyions.meter import (
     gaussian_moments,
     gaussian_norm_sq,
 )
-from hardyions.statecore import BASIS_LABELS, N_INTERNAL, SystemState, pointer_component
+from hardyions.statecore import (
+    BASIS_LABELS,
+    N_INTERNAL,
+    NORM_FLOOR,
+    NoMeter,
+    QubitMeter,
+    SystemState,
+    pointer_component,
+    project_internal,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -96,19 +106,40 @@ def metered_states(draw):
     sets, groups = draw(st.sampled_from([(0, 0), (3, 0), (0, 3), (3, 3)]))
     offsets = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=max(sets, 1) * m, max_size=max(sets, 1) * m)))
     shape = (groups, N_INTERNAL, m) if groups else (N_INTERNAL, m)
+    centers = sigma * offsets.reshape(sets, m) if sets else sigma * offsets
+    return SystemState(draw_amplitudes(draw, shape), GaussianMeter(sigma, centers))
+
+
+@st.composite
+def euclidean_states(draw):
+    """A NoMeter or QubitMeter state with some exact-zero amplitudes: one (9, M) state or a batch (3, 9, M)."""
+    meter = draw(st.sampled_from([NoMeter(), QubitMeter()]))
+    shape = (*draw(st.sampled_from([(), (3,)])), N_INTERNAL, meter.dim)
+    return SystemState(draw_amplitudes(draw, shape), meter)
+
+
+def draw_amplitudes(draw, shape):
+    """Complex amplitudes of the given shape: moduli 0 or in [0.01, 3], any phase."""
     n = int(np.prod(shape))
     moduli = np.array(draw(st.lists(st.just(0.0) | st.floats(0.01, 3.0), min_size=n, max_size=n))).reshape(shape)
     phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))).reshape(shape)
-    centers = sigma * offsets.reshape(sets, m) if sets else sigma * offsets
-    return SystemState(moduli * np.exp(1j * phases), GaussianMeter(sigma, centers))
+    return moduli * np.exp(1j * phases)
 
 
 @PROPERTY_SETTINGS
-@given(metered_states())
-def test_one_row_form_is_that_row_of_the_nine(state):
+@given(metered_states() | euclidean_states())
+def test_one_outcome_probability_is_that_row_of_the_nine(state):
+    # project_internal forms the one row alone, with the bits of that row of the nine; a Euclidean
+    # norm is the nine rows summed in order
     rows = state.meter.row_norms_sq(state.amplitudes)
-    for idx in range(N_INTERNAL):
-        assert state.meter.row_norm_sq(state, idx).tobytes() == rows[..., idx].tobytes()
+    for idx, label in enumerate(BASIS_LABELS):
+        if np.count_nonzero(rows[..., idx] < NORM_FLOOR):
+            with pytest.raises(PostSelectionError):
+                project_internal(state, label)
+        else:
+            assert np.asarray(project_internal(state, label)[0]).tobytes() == rows[..., idx].tobytes()
+    if not isinstance(state.meter, GaussianMeter):
+        assert state.meter.norm_sq(state.amplitudes).tobytes() == np.add.accumulate(rows.T)[-1].tobytes()
 
 
 @PROPERTY_SETTINGS

@@ -484,6 +484,11 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="sigma must be a positive finite length"):
             closed_form_mean(1.0, math.inf)
 
+    def test_list_of_a_reads_as_an_array(self):
+        shifts = [0.1, 0.2, SIGN_CHANGE, 3.0]
+        assert closed_form_mean(shifts, 1.3) == closed_form_mean(np.array(shifts), 1.3)
+        assert closed_form_mean(shifts) == [closed_form_mean(a) for a in shifts]
+
 
 class TestWeakLimit:
     def test_zero_displacement_is_exact(self):
@@ -615,11 +620,23 @@ class TestConfigAndReports:
             {"seed": -1},
             {"sigma": 1.49e-154},
             {"sigma": 5e-324},
+            {"shots": 1e4},
+            {"shots": 10.0},
+            {"shots": np.float64(100.0)},
+            {"seed": 1.5},
+            {"seed": 1.0},
+            {"seed": "1"},
         ],
     )
     def test_run_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_run_config_takes_numpy_integers_as_ints(self):
+        config = RunConfig(shots=np.int64(1000), seed=np.uint32(4))
+        assert (type(config.shots), type(config.seed)) == (int, int)
+        result = run_experiment_mc(config)
+        assert json.dumps(result.to_json_dict()) == json.dumps(run_experiment_mc(RunConfig(shots=1000, seed=4)).to_json_dict())
 
     def test_run_config_accepts_a_sigma_whose_square_is_normal(self):
         assert 1.5e-154 * 1.5e-154 > sys.float_info.min > 1.49e-154 * 1.49e-154

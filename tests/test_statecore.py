@@ -223,16 +223,19 @@ class TestNormAndProjection:
                     assert rows[idx] == pytest.approx(reference, rel=1e-14)
                 assert rows.sum() == pytest.approx(state.norm_sq, rel=1e-13)
 
-    def test_euclidean_meters_read_norm_and_rows_from_the_kept_rows(self):
-        # the norm is the kept row norms summed in order, and one outcome's probability is its row
+    def test_meter_reads_amplitudes_and_a_state_keeps_its_norm(self):
+        # a meter measures amplitudes; a state reads its rows afresh and keeps its norm alone
         rng = np.random.default_rng(29)
-        for meter in (NoMeter(), QubitMeter()):
+        for meter in (NoMeter(), QubitMeter(), GaussianMeter(0.8, (0.0, -0.5, 0.7)), GaussianMeter(0.8, [[0.0, 1.0]] * 3)):
             for shape in ((N_INTERNAL, meter.dim), (3, N_INTERNAL, meter.dim)):
                 state = SystemState(rng.normal(size=shape) + 1j * rng.normal(size=shape), meter)
-                rows = meter.row_norms_sq(state.amplitudes)
-                assert state.norm_sq.tobytes() == np.add.accumulate(rows.T)[-1].tobytes()
-                for idx in range(N_INTERNAL):
-                    assert meter.row_norm_sq(state, idx).tobytes() == rows[..., idx].tobytes()
+                amps = state.amplitudes
+                assert state.row_norms.tobytes() == meter.row_norms_sq(amps).tobytes()
+                assert state.row_norms is not state.row_norms
+                assert state.norm_sq.tobytes() == meter.norm_sq(amps).tobytes()
+                assert state.norm is state.norm
+                assert np.asarray(state.norm).tobytes() == np.sqrt(meter.norm_sq(amps)).tobytes()
+                assert set(vars(state)) == {"amplitudes", "meter", "_norm"}
 
     def test_euclidean_metric_takes_a_batch_axis(self):
         # G different states stacked as (G, 9, M): each element's row norms, and each element of
