@@ -5,16 +5,16 @@ of the nine internal outcomes, norm_sq of the whole), its readout (pointer)
 and, for the meters a pulse couples to, that coupling (couple returns the
 new amplitudes and meter). A meter measures amplitudes, never a state. This
 module alone knows the Gaussian branch representation: the Gram kernel, the
-two contractions over it (each row's quadratic form, and the norm from the
-M x M branch overlaps), the light-shift displacement and the readout. A GaussianMeter,
-keyed on sigma and its points, holds its centers only as the read-only
-points array: one set, shape (M,), or a batch of sets, shape (B, M), with
-one sigma; kernels, forms and moments carry the batch axis, and one set
-runs the same lines. A GaussianPointer is a view on a GaussianMeter and
-one coefficient per center; read from a state, it shares the state's meter
-and cached kernel. The grid oracle (to_grid) samples a pointer as the
-arrays (xs, values), an independent numerical check, and a two-level
-pointer reads out the third-ion scheme.
+contractions over it (each row's quadratic form; the norm, and a pointer's
+moments, from the M x M branch overlaps), the light-shift displacement and
+the readout. A GaussianMeter, keyed on sigma and its points, holds its
+centers only as the read-only points array: one set, shape (M,), or a batch
+of sets, shape (B, M), with one sigma; kernels, forms and moments carry the
+batch axis, and one set runs the same lines. A GaussianPointer is a view on
+a GaussianMeter and one coefficient per center; read from a state, it shares
+the state's meter and cached kernel. The grid oracle (to_grid) samples a
+pointer as the arrays (xs, values), an independent numerical check, and a
+two-level pointer reads out the third-ion scheme.
 
 The single-branch wavefunction is phi_d(x) = (2 pi sigma^2)^(-1/4)
 exp(-(x - d)^2 / (4 sigma^2)), so a branch has position variance sigma^2.
@@ -40,9 +40,8 @@ GRID_PADDING_SIGMAS = 6.0
 
 # Post-selected pointer means sit on near-complete cancellations between
 # Gram terms, so the kernel is built in extended precision (80-bit on x86
-# Linux; degrades gracefully where longdouble == double) and every quadratic
-# form, taken through _gram_forms or _overlap_norms, is promoted to it. This
-# name alone sets that precision.
+# Linux; degrades gracefully where longdouble == double), and every form and
+# moment over it is promoted to it. This name alone sets that precision.
 _LD = np.longdouble
 
 
@@ -209,10 +208,7 @@ class QubitMeter(_EuclideanMetric):
         return QubitPointer(row[0], row[1])
 
     def couple(self, amplitudes: np.ndarray, target: int, rotation: np.ndarray):
-        """Rotate the meter attached to one internal row by a 2 x 2 unitary.
-
-        Returns the new (amplitudes, meter).
-        """
+        """Rotate the meter attached to one internal row by a 2 x 2 unitary; the new (amplitudes, meter)."""
         amps = amplitudes.copy()
         amps[target] = rotation @ amps[target]
         return amps, self
@@ -276,27 +272,32 @@ def gaussian_norm_sq(p: GaussianPointer):
 
 
 def gaussian_moments(p: GaussianPointer, unit: float = 1.0):
-    """Exact (<x> unit, <x^2> unit^2) of the normalized pointer (lists over a batch); ValueError on overflow."""
-    c = p.coefficients[..., None, :]
-    gram = p.meter.gram
-    half = p.meter.points.astype(_LD) / 2
+    """(<x>, <x^2>, variance) of the normalized pointer, lengths times unit (lists on a batch); ValueError on overflow.
+
+    |psi(x)|^2 is the signed mixture sum_mn w_mn N(x; mid_mn, sigma^2), mid_mn = (d_m + d_n) / 2, w = S o G and
+    S = conj(c)^T c: norm, <x> and <x^2> sum Re w, Re w mid and Re w (sigma^2 + mid^2), and they, their quotients
+    and the variance are formed in the kernel's precision and round once. Im w feeds the non-real check.
+    """
+    gram, non_real = p.meter.gram, False
+    c = p.coefficients.astype(np.result_type(gram, p.coefficients))
+    overlaps = np.conj(c)[..., :, None] * c[..., None, :]
+    weights, half = overlaps.real * gram, p.meter.points.astype(_LD) / 2
     with np.errstate(all="ignore"):  # a vanishing norm and overflowing moments are caught below
-        # every length in the kernels times unit, in their precision: the moments round once, as reported
-        mid, width = (half[..., :, None] + half[..., None, :]).astype(_LD) * _LD(unit), _LD(p.sigma) * _LD(unit)
-        kernels = np.array((gram, gram * mid, gram * (width * width + mid * mid)))
-        den, mean, second = _gram_forms(c, kernels, c)[..., 0].astype(complex)  # norm, <x>, <x^2> forms
-        mean, mean_imag = mean.real / den.real, mean.imag / den.real
-        second, second_imag = second.real / den.real, second.imag / den.real
-        variance = second - mean * mean
+        mid, width = (half[..., :, None] + half[..., None, :]) * _LD(unit), _LD(p.sigma) * _LD(unit)
+        spread, den = width * width + mid * mid, np.einsum("...mn->...", weights)
+        mean, second = (np.einsum("...mn,...mn->...", weights, x) / den for x in (mid, spread))
+        moments = np.asarray((mean, second, second - mean * mean), dtype=float)  # the one rounding
+        if overlaps.imag.any():  # Im w is 0 where the coefficients are real
+            imag = (np.einsum("...mn,...mn->...", overlaps.imag * gram, x) / den for x in (mid, spread))
+            non_real = np.maximum(*map(abs, imag)) > 1e-12 * np.maximum(1.0, abs(moments[:2]).max(axis=0))
     # count_nonzero is "any" for one pointer (numpy scalars) and a batch alike
-    if np.count_nonzero(den.real < NORM_FLOOR):
+    if np.count_nonzero(den < NORM_FLOOR):
         raise ValueError("degenerate pointer state (vanishing norm)")
-    if np.count_nonzero(~np.isfinite(variance)):
+    if np.count_nonzero(~np.isfinite(moments)):
         raise ValueError("pointer moments overflow a double")
-    imag = np.maximum(abs(mean_imag), abs(second_imag))  # non-real: imag > 1e-12 max(1, |<x>|, |<x^2>|)
-    if np.count_nonzero((imag > 1e-12) & (imag > 1e-12 * abs(mean)) & (imag > 1e-12 * abs(second))):
+    if np.count_nonzero(non_real):  # Im w's share of <x> or <x^2> above 1e-12 max(1, |<x>|, |<x^2>|)
         raise InvariantError("position moments came out non-real")
-    return mean.tolist(), second.tolist()
+    return tuple(moments.tolist())
 
 
 def gaussian_mean_x(p: GaussianPointer) -> float:
@@ -312,7 +313,7 @@ def gaussian_second_moment(p: GaussianPointer) -> float:
 def evaluate_gaussian(p: GaussianPointer, xs: np.ndarray) -> np.ndarray:
     """Pointwise values sum_i c_i (2 pi sigma^2)^(-1/4) exp(-(x - d_i)^2 / (4 sigma^2))."""
     xs = np.asarray(xs, dtype=float)
-    amp = (2.0 * math.pi * p.sigma * p.sigma) ** -0.25
+    amp = (2.0 * math.pi) ** -0.25 / math.sqrt(p.sigma)  # (2 pi sigma^2) ** -0.25 with no sigma^2 to underflow
     values = np.zeros(xs.shape, dtype=complex)
     for c, d in p.branches:
         values += c * amp * np.exp(-((xs - d) ** 2) / (4.0 * p.sigma * p.sigma))
@@ -331,9 +332,8 @@ def to_grid(
     each side; the default window is exactly that. ValueError on a
     non-finite or empty window, n < 2, and non-finite samples or norm.
     """
-    lo = float(min(d for _, d in p.branches))
-    hi = float(max(d for _, d in p.branches))
-    pad = GRID_PADDING_SIGMAS * p.sigma
+    centers = [d for _, d in p.branches]
+    lo, hi, pad = min(centers), max(centers), GRID_PADDING_SIGMAS * p.sigma
     xmin, xmax = lo - pad if xmin is None else xmin, hi + pad if xmax is None else xmax
     if not (math.isfinite(xmin) and math.isfinite(xmax) and n >= 2):
         raise ValueError(f"need a finite window and at least two grid points, got [{xmin}, {xmax}] and {n}")

@@ -298,13 +298,13 @@ def run_weak_gaussian(a, sigma: float = 1.0) -> WeakValueReport:
     check_sigma(sigma)
     a = check_a(a)
     _, probability, pointer = weak_gaussian_experiment(a).run()
-    mean, second = gaussian_moments(pointer, sigma)  # raises where a sigma overflows, before it is formed
+    mean, _, variance = gaussian_moments(pointer, sigma)  # raises where a sigma overflows, before it is formed
     return WeakValueReport(
         postselection_probability=probability,
         weak_values=weak_values_postselected(),
         pointer_mean=mean,
         closed_form_mean=closed_form_mean(a * sigma, sigma),
-        pointer_variance=(np.asarray(second) - np.square(mean)).tolist(),
+        pointer_variance=variance,
         conditional_pointer=pointer,
     )
 

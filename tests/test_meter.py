@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hardyions.errors import InvariantError
 from hardyions.meter import (
     GaussianMeter,
     GaussianPointer,
@@ -11,6 +12,7 @@ from hardyions.meter import (
     cross_gram,
     evaluate_gaussian,
     gaussian_mean_x,
+    gaussian_moments,
     gaussian_norm_sq,
     gaussian_second_moment,
     grid_moments,
@@ -95,6 +97,14 @@ class TestGaussianMoments:
         with pytest.raises(ValueError, match="degenerate"):
             gaussian_mean_x(zero)
 
+    def test_non_real_moments_raise(self):
+        # a Hermitian S and a symmetric kernel give real moments; with a kernel that is not symmetric,
+        # the complex coefficients' Im S no longer cancels, and the readout refuses the moments
+        pointer = GaussianPointer(1.0, ((1.0, 0.0), (1j, 1.0)))
+        vars(pointer.meter)["gram"] = np.array([[1.0, 0.9], [0.1, 1.0]], dtype=np.longdouble)
+        with pytest.raises(InvariantError, match="non-real"):
+            gaussian_moments(pointer)
+
     def test_translation_covariance(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -178,6 +188,7 @@ class TestGrid:
             (single(0.0), {"n": 0}, "two grid points"),
             (single(0.0, sigma=1e-10, coeff=1e305), {}, "cannot normalize"),  # c (2 pi sigma^2)^(-1/4) = inf
             (single(0.0, sigma=1e-10, coeff=1e300), {}, "cannot normalize"),  # finite samples whose squares overflow
+            (single(0.0, sigma=1e-170), {}, "cannot normalize"),  # sigma^2 underflows: the samples are 0 / 0
         ]
         for pointer, kwargs, message in cases:
             with warnings.catch_warnings():
