@@ -14,11 +14,15 @@ were accepted draws their offsets, after the samples and from the same
 generator, so a run's summary does not depend on whether it does.
 Randomness comes from numpy's default generator (PCG64), seeded per batch
 from (seed, batch_index), so results are reproducible bit for bit and
-batches may be evaluated independently and merged in index order.
+batches may be evaluated independently and merged in index order. Batch i's
+PCG64 starts from the state np.random.SeedSequence((seed, i)) generates; that
+state is computed for a block of up to SEED_BLOCK batches in one vectorized
+pass of SeedSequence's hash (O'Neill's seed_seq_fe), not one object per batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -36,6 +40,26 @@ MIN_RELIABLE_ACCEPTED = 30
 SAMPLING_GRID_POINTS = 4096
 SAMPLING_PADDING_SIGMAS = 8.0
 SMALLEST_WEIGHT = 2.0**-53  # count-table weights below it, relative to the mode's 1, are dropped
+SEED_BLOCK = 1024  # batches seeded by one pass; it divides 2**32, so a block's indexes share their upper words
+
+# numpy's SeedSequence hash on uint32 words (numpy/random/bit_generator.pyx): its k-th hashmix xors
+# init * mult**k mod 2**32 into a word and multiplies it by init * mult**(k + 1), then xors in its upper half
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the 4-word pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # drawing the state words from the pool
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hash_columns(init: int, mult: int, ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier of the hashmixes ks, as uint32 columns that broadcast over a block's lanes."""
+    xor = [init * pow(mult, k, 1 << 32) & _MASK32 for k in ks]
+    return np.array(xor, np.uint32)[:, None], np.array([x * mult & _MASK32 for x in xor], np.uint32)[:, None]
+
+
+_POOL_HASH = _hash_columns(_INIT_A, _MULT_A, range(4))  # entropy word w (or 0) into pool word w
+# round s hashes pool word s into each other word d, in order of d, by hashmix 4 + 3 s + d - (d > s); row s is unused
+_MIX_HASH = [_hash_columns(_INIT_A, _MULT_A, [4 + 3 * s + d - (d > s) for d in range(4)]) for s in range(4)]
+_STATE_HASH = _hash_columns(_INIT_B, _MULT_B, range(8))  # pool words 0-3, then 0-3 again
 
 
 @dataclass(frozen=True)
@@ -83,6 +107,66 @@ def _count_table(size: int, p: float) -> tuple[int, np.ndarray]:
     return mode - len(below), cdf
 
 
+def _entropy_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: its 32-bit words, least significant first ([0] for 0)."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    out = words ^ xor
+    out *= mult
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix_into(pool: np.ndarray, hashed: np.ndarray) -> None:
+    """pool = MIX_MULT_L pool - MIX_MULT_R hashed, then its upper half xored in; hashed is overwritten."""
+    pool *= _MIX_MULT_L
+    hashed *= _MIX_MULT_R
+    pool -= hashed
+    pool ^= pool >> _XSHIFT
+
+
+def _seed_states(seed: int, first: int, count: int) -> np.ndarray:
+    """np.random.SeedSequence((seed, i)).generate_state(4, np.uint64) for i in [first, first + count), as rows.
+
+    SeedSequence's mixing in uint32 arrays, one lane per index and the 4 pool words as rows. The entropy is the
+    words of seed, then of i; only i's low word varies, as long as the indexes do not cross a multiple of 2**32.
+    """
+    if first < 0 or (first & _MASK32) + count > 1 << 32:
+        raise ValueError(f"batch indexes [{first}, {first + count}) must be non-negative and share their upper words")
+    seed_words = _entropy_words(seed)
+    entropy = seed_words + _entropy_words(first)
+    lanes = np.array(entropy + [0] * (4 - len(entropy)), np.uint32)[:, None].repeat(count, 1)  # pool hashes 0s past it
+    lanes[len(seed_words)] += np.arange(count, dtype=np.uint32)
+    pool = _hashmix(lanes[:4], *_POOL_HASH)
+    for s, hash_columns in enumerate(_MIX_HASH):
+        # word s is mixed into the other three; all four are mixed here, and word s is put back
+        word = pool[s].copy()
+        _mix_into(pool, _hashmix(word, *hash_columns))
+        pool[s] = word
+    for k in range(4, len(entropy)):  # entropy past the pool's 4 words is mixed into each of them
+        _mix_into(pool, _hashmix(lanes[k], *_hash_columns(_INIT_A, _MULT_A, range(4 * k, 4 * k + 4))))
+    state = _hashmix(np.concatenate((pool, pool)), *_STATE_HASH).T.copy()  # each index's 8 uint32 words in a row
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)  # as generate_state pairs them
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands a PCG64 its precomputed state words, defined on first use: subclassing
+    numpy's ISeedSequence imports numpy.random, which importing the package should not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for its 4 uint64 words
+
+    return SeedWords
+
+
 @dataclass(frozen=True)
 class PreparedExperiment:
     """Precomputed acceptance probability, pointer CDF and the CDF's alias table for one configuration.
@@ -98,6 +182,7 @@ class PreparedExperiment:
     cdf: np.ndarray
     xs: np.ndarray
     count_tables: dict[int, tuple[int, np.ndarray]] = field(init=False, repr=False, compare=False)  # by batch size
+    seed_states: dict[tuple[int, int], np.ndarray] = field(init=False, repr=False, compare=False)  # (seed, start)
     prob: np.ndarray = field(init=False)
     alias: np.ndarray = field(init=False)
     offsets: np.ndarray = field(init=False)
@@ -123,14 +208,17 @@ class PreparedExperiment:
             margin = 8.0 * np.spacing(np.maximum(np.maximum(np.abs(xs[:-1]), np.abs(xs[1:]))[j], lo * w / width))
             scales = np.where(2.0 * margin < w, (w - 2.0 * margin) / width, 0.0)
             offsets = np.where(scales > 0.0, xs[j] + margin - lo * scales, xs[j] + w / 2.0)  # else the midpoint
-        self.__dict__.update(count_tables={}, prob=prob, alias=alias, offsets=offsets, scales=scales)
+        self.__dict__.update(count_tables={}, seed_states={}, prob=prob, alias=alias, offsets=offsets, scales=scales)
 
     def pointer_samples(self, u: np.ndarray) -> np.ndarray:
         """The pointer positions of keys u in [0, 1): cell floor(u K) and frac u K - cell, both exact."""
         samples = u * len(self.prob)
         cell = samples.astype(np.intp)
-        samples -= cell  # frac, mapped in place: fewer temporaries run measurably faster
-        half = 2 * cell + (samples >= self.prob.take(cell))
+        samples -= np.floor(samples)  # frac, mapped in place: fewer temporaries and no int/float mix run faster
+        upper = samples >= self.prob.take(cell)
+        half = cell  # 2 cell + upper, the half-cell, built in place
+        half <<= 1
+        half += upper
         samples *= self.scales.take(half)
         samples += self.offsets.take(half)
         return samples
@@ -166,8 +254,18 @@ class batch_plan(Sequence):
 
 
 def draw_batch(prepared: PreparedExperiment, batch_index: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
-    """The batch's generator and the pointer samples of its accepted shots; hit_offsets continues the generator."""
-    rng = np.random.default_rng(np.random.SeedSequence((prepared.config.seed, batch_index)))
+    """The batch's generator and the pointer samples of its accepted shots; hit_offsets continues the generator.
+
+    The generator's state comes from the block of up to SEED_BLOCK batches that holds batch_index, seeded in one
+    pass and kept until a batch outside it is drawn; a block ends with the run's last batch, or with batch_index.
+    """
+    seed, start = prepared.config.seed, batch_index - batch_index % SEED_BLOCK
+    states = prepared.seed_states.get((seed, start))  # by seed too: a shallow copy with another config shares it
+    if states is None or batch_index - start >= len(states):
+        count = min(SEED_BLOCK, max(len(batch_plan(prepared.config.shots)) - start, batch_index - start + 1))
+        prepared.seed_states.clear()
+        states = prepared.seed_states[seed, start] = _seed_states(seed, start, count)
+    rng = np.random.Generator(np.random.PCG64(_seed_words_type()(states[batch_index - start])))
     if size not in prepared.count_tables:
         prepared.count_tables[size] = _count_table(size, prepared.accept_below)
     first, cdf = prepared.count_tables[size]
@@ -230,19 +328,22 @@ def run_experiment_mc(
     With on_batch, calls on_batch(first_shot, size, hits, samples) once per
     batch, in shot order: the index of the batch's first shot, its shot
     count, the sorted offsets of its accepted shots in [0, size), and their
-    pointer samples, one per accepted shot in order. Batches are merged as
-    drawn and none is kept, so memory does not grow with the shot count.
+    pointer samples, one per accepted shot in order; it runs under the
+    caller's numpy error state. Batches are merged as drawn and none is
+    kept, so memory does not grow with the shot count.
     """
     prepared = prepare_experiment(config)
     plan = batch_plan(config.shots)
+    caller = np.geterr()
 
     def totals():
         for batch_index, size in enumerate(plan):
             rng, samples = draw_batch(prepared, batch_index, size)
             if on_batch is not None:
-                on_batch(plan.starts[batch_index], size, hit_offsets(rng, size, len(samples)), samples)
-            with np.errstate(over="ignore"):  # merge_shot_totals rejects a sum that overflows
-                sum_x_sq = float(np.sum(samples * samples))
-            yield BatchTotals(len(samples), size, float(np.sum(samples)), sum_x_sq)
+                with np.errstate(**caller):
+                    on_batch(plan.starts[batch_index], size, hit_offsets(rng, size, len(samples)), samples)
+            sum_x, sum_x_sq = float(np.add.reduce(samples)), float(np.add.reduce(np.square(samples)))
+            yield BatchTotals(len(samples), size, sum_x, sum_x_sq)
 
-    return merge_shot_totals(totals(), config.seed)
+    with np.errstate(over="ignore"):  # merge_shot_totals rejects a sum that overflows
+        return merge_shot_totals(totals(), config.seed)

@@ -2,7 +2,11 @@ import bisect
 import copy
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -193,6 +197,16 @@ class TestRunExperiment:
         assert result.sample_mean == pytest.approx(samples.mean(), rel=1e-12)
         assert result == run_experiment_mc(config)
 
+    def test_on_batch_runs_under_the_callers_error_state(self):
+        # the run ignores overflow in its sums, but not in the caller's callback
+        def overflowing(*batch):
+            np.array([1e308]) * 10.0
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_experiment_mc(RunConfig(a=0.1, shots=1_000, seed=2), on_batch=overflowing)
+            assert np.geterr()["over"] == "raise"
+
     def test_json_round_trip(self):
         result = run_experiment_mc(RunConfig(a=0.05, shots=1_000, seed=4))
         data = result.to_json_dict()
@@ -208,14 +222,74 @@ class TestRunExperiment:
         }
 
 
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 9])
+    def test_states_match_seed_sequence(self, seed):
+        # entropy of 1 to 5 words: the seed's 1 to 4, then the index's 1 or 2 (more than the pool's 4 at 2**100 + 9)
+        for index in (0, 1, 76, 2**32 - 1, 2**32, 2**40):
+            expected = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
+            state = shots._seed_states(seed, index, 1)
+            assert state.shape == (1, 4) and state.dtype == np.uint64
+            np.testing.assert_array_equal(state[0], expected)
+        # whole blocks, one lane per index: a run's first block, the last indexes of one word, a block of two words
+        for first, count in [(0, 77), (2**32 - 5, 5), (2**40, shots.SEED_BLOCK)]:
+            states = shots._seed_states(seed, first, count)
+            assert states.shape == (count, 4)
+            for row in (0, count // 2, count - 1):
+                expected = np.random.SeedSequence((seed, first + row)).generate_state(4, np.uint64)
+                np.testing.assert_array_equal(states[row], expected)
+
+    @pytest.mark.parametrize("first, count", [(2**32 - 1, 2), (2**33 - 3, 1_000), (-1, 1)])
+    def test_block_of_mixed_word_counts_is_rejected(self, first, count):
+        # indexes below and above a multiple of 2**32 differ in their upper words, and an index of 2**32 has
+        # one entropy word more than 2**32 - 1, so one pass cannot seed both
+        with pytest.raises(ValueError, match="share their upper words"):
+            shots._seed_states(0, first, count)
+
+    def test_run_seeds_each_block_once(self, monkeypatch):
+        # 2500 batches of 100 shots: three seed blocks, of 1024, 1024 and 452 batches, with one kept at a time
+        monkeypatch.setattr(shots, "BATCH_SIZE", 100)
+        passes, kept = [], []
+        seed_states, draw = shots._seed_states, shots.draw_batch
+        monkeypatch.setattr(shots, "_seed_states", lambda *args: passes.append(args) or seed_states(*args))
+
+        def drawing(prepared, batch_index, size):
+            kept.append(len(prepared.seed_states))
+            return draw(prepared, batch_index, size)
+
+        monkeypatch.setattr(shots, "draw_batch", drawing)
+        config = RunConfig(a=0.3, shots=250_000, seed=9)
+        result, batches = collect_batches(config)
+        assert passes == [(9, 0, 1024), (9, 1024, 1024), (9, 2048, 452)]
+        assert kept == [0] + [1] * 2499
+        for index in (1023, 1024, 2499):
+            count, expected, expected_hits = reference_draw(config, index, 100)
+            _, size, hits, samples = batches[index]
+            assert samples.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(hits, expected_hits)
+        assert result.accepted == sum(len(samples) for *_, samples in batches)
+
+    @pytest.mark.parametrize("module", ["hardyions", "hardyions.cli"])
+    def test_import_leaves_out_numpy_random(self, module):
+        # the generator's seed sequence subclasses numpy.random's interface on first use, not at import
+        code = f"import sys, {module}; print('numpy.random' in sys.modules)"
+        src = str(Path(shots.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert done.stdout.split() == ["False"]
+
+
 class TestStreamPinning:
     @pytest.mark.parametrize("a", [0.05, 0.3, 3.0])
     def test_draw_batch_matches_reference(self, a):
-        for seed in (0, 1, 7):
+        # seeds of one, two and three 32-bit words; the reference seeds each batch by numpy's own SeedSequence
+        for seed in (0, 1, 7, 2**70 + 3):
             config = RunConfig(a=a, shots=4 * BATCH_SIZE, seed=seed)
             prepared = prepare_experiment(config)
-            # full batches, the final partial batch of a run, and a small batch
-            for batch_index, size in [(0, BATCH_SIZE), (2, BATCH_SIZE), (3, 12_345), (5, 2_000)]:
+            # full batches, the final partial batch of a run, and small batches, past the run's end (index 76
+            # extends the run's seed block) and at an index of two words (a seed block of its own)
+            for batch_index, size in [(0, BATCH_SIZE), (2, BATCH_SIZE), (3, 12_345), (5, 2_000), (76, 5_000),
+                                      (2**32, 3_000)]:
                 rng, samples = draw_batch(prepared, batch_index, size)
                 hits = hit_offsets(rng, size, len(samples))
                 first, cdf = prepared.count_tables[size]
