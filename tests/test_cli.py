@@ -223,6 +223,61 @@ class TestScan:
         assert out == ""
         assert err == "error: need at most 5 scan steps, got 6\n"
 
+    @staticmethod
+    def seeded_ranges(kind, count=20):
+        """count (min, max, steps) draws of one kind: subnormal, ordinary, or up to 1e307."""
+        rng = np.random.default_rng(["subnormal", "ordinary", "huge"].index(kind))
+        for _ in range(count):
+            if kind == "subnormal":
+                low = max(10.0 ** rng.uniform(-323.0, -308.0), 5e-324)
+                high = low * 10.0 ** rng.uniform(0.01, 6.0)
+            elif kind == "ordinary":
+                low = 10.0 ** rng.uniform(-3.0, 1.0)
+                high = low + 10.0 ** rng.uniform(-3.0, 2.0)
+            else:
+                high = 10.0 ** rng.uniform(1.0, 307.0)
+                low = high / 10.0 ** rng.uniform(0.01, 6.0)
+            yield float(low), float(high), int(rng.integers(2, 51))
+
+    @pytest.mark.parametrize("kind", ["subnormal", "ordinary", "huge"])
+    def test_csv_and_json_agree(self, capsys, monkeypatch, kind):
+        # each CSV row is the repr-join of its JSON row, and the grid is the Python-float formula bit
+        # for bit; a range whose moments overflow fails the same way in both formats
+        grids = []
+        monkeypatch.setattr(cli, "run_weak_gaussian", lambda a: grids.append(a.tolist()) or run_weak_gaussian(a))
+        ran = 0
+        for low, high, steps in self.seeded_ranges(kind):
+            expected = [low + 2.0 * ((high / 2.0 - low / 2.0) * i / (steps - 1)) for i in range(steps)]
+            argv = ("scan", "--min", repr(low), "--max", repr(high), "--steps", str(steps))
+            code, out, err = run_cli(capsys, *argv)
+            json_code, json_out, json_err = run_cli(capsys, *argv, "--format", "json")
+            assert [[x.hex() for x in grid] for grid in grids] == [[x.hex() for x in expected]] * 2
+            grids.clear()
+            assert (json_code, json_err) == (code, err)
+            if code != 0:
+                assert (out, json_out) == ("", "")
+                assert err.startswith("error: ")
+                continue
+            ran += 1
+            header, *lines = out.splitlines()
+            rows = json.loads(json_out)
+            assert header.split(",") == list(rows[0])
+            assert lines == [",".join(map(repr, row.values())) for row in rows]
+            assert [line.split(",")[0] for line in lines] == list(map(repr, expected))
+        assert ran >= 5
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [(("--max", "inf"), "nan"), (("--min", "1", "--max", "1.7e308", "--steps", "100000"), "inf")],
+        ids=["inf-max", "overflowing-points"],
+    )
+    def test_non_finite_points_rejected_without_a_warning(self, capsys, argv, bad):
+        # inf * 0 is nan at the first point; (max/2 - min/2) * i overflows from the fourth: check_a rejects
+        # either, and the grid's floating-point exceptions raise no warning (error::RuntimeWarning)
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a must be a non-negative finite number of sigmas, got {bad}\n"
+
 
 class TestMonteCarlo:
     def test_deterministic_json(self, capsys):

@@ -1,5 +1,4 @@
 import bisect
-import copy
 import itertools
 import math
 import os
@@ -450,10 +449,9 @@ class TestSeedEnsemble:
         prepared = prepare_experiment(RunConfig(a=a))
 
         def prepare(config):
-            # the preparation depends on a and sigma only, so it is built once; the seed enters at the draw
-            clone = copy.copy(prepared)
-            object.__setattr__(clone, "config", config)
-            return clone
+            # the preparation depends on a and sigma only, so its tables are built from the one cdf; the seed
+            # enters at the draw. Each clone has its own caches, as a fresh preparation would.
+            return replace(prepared, config=config)
 
         first = RunConfig(a=a, shots=self.SHOTS, seed=seeds[0])
         fresh = run_experiment_mc(first)
