@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,10 +78,29 @@ def _overlap_norms(amplitudes: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("...mn,...mn->...", (amps.conj().mT @ amps).real, kernel)
 
 
+@lru_cache(maxsize=64)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of m centers, and the (m, m) index of each kernel entry into (1, pair 0, pair 1, ...)."""
+    i, j = np.triu_indices(m, 1)
+    entries = np.zeros((m, m), dtype=np.intp)  # the diagonal reads the leading 1
+    entries[i, j] = entries[j, i] = np.arange(1, len(i) + 1)
+    for index in (i, j, entries):
+        index.flags.writeable = False
+    return i, j, entries
+
+
 def gram_matrix(sigma: float, centers) -> np.ndarray:
-    """Gram matrix G[..., i, j] = <phi_{d_i}|phi_{d_j}> of each set of equal-width branches."""
+    """Gram matrix G[..., i, j] = <phi_{d_i}|phi_{d_j}> of each set of equal-width branches at finite centers.
+
+    The kernel is evaluated once per pair i < j and mirrored, with a unit diagonal: the bits of
+    gauss_kernel(d[..., :, None] - d[..., None, :]), since d_j - d_i is -(d_i - d_j) exactly and exp(-0) is 1.
+    """
     d = np.asarray(centers, dtype=float)
-    return gauss_kernel(d[..., :, None] - d[..., None, :], sigma)
+    i, j, entries = _pair_index(d.shape[-1])
+    values = np.empty((*d.shape[:-1], len(i) + 1), dtype=_LD)
+    values[..., 0] = 1.0
+    values[..., 1:] = gauss_kernel(d.take(i, axis=-1) - d.take(j, axis=-1), sigma)
+    return values.take(entries, axis=-1)
 
 
 def cross_gram(sigma: float, centers_bra, centers_ket) -> np.ndarray:
@@ -133,7 +152,7 @@ class GaussianMeter:
         points = np.array(centers, dtype=float, order="C")
         if points.ndim not in (1, 2) or not points.size:
             raise ValueError("need at least one branch center, in one set or a batch of sets")
-        if not all(map(math.isfinite, points.ravel().tolist())):
+        if np.count_nonzero(np.isfinite(points)) < points.size:
             raise ValueError("non-finite branch center")
         points.flags.writeable = False  # the key below is taken once
         self.sigma, self.points, self.dim = check_sigma(sigma), points, points.shape[-1]

@@ -53,7 +53,6 @@ from .statecore import (
     apply_unitary,
     init_ground,
     internal_probabilities,
-    pointer_component,
     project_internal,
     project_rows,
     state_to_json_dict,
@@ -112,8 +111,11 @@ class WeakValueReport:
         total = sum(self.weak_values.values())
         if abs(total - 1.0) > 1e-12:
             raise InvariantError(f"weak values must sum to 1, got {total}")
-        if not all(0.0 < p <= 1.0 for p in np.asarray(self.postselection_probability).ravel().tolist()):
-            raise InvariantError(f"post-selection probability out of (0, 1]: {self.postselection_probability}")
+        p = np.asarray(self.postselection_probability)
+        if np.count_nonzero((0.0 < p) & (p <= 1.0)) < p.size:
+            bad = [x for x in p.ravel().tolist() if not 0.0 < x <= 1.0]
+            count = f" ({len(bad)} of {p.size} values)" if p.ndim else ""  # a batch is counted, not listed
+            raise InvariantError(f"post-selection probability out of (0, 1]: {bad[0]}{count}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,8 +204,8 @@ class Experiment:
     def run(self):
         """Final state, post-selection probability and the conditional meter pointer."""
         final = self.final_state()
-        probability, conditional = project_internal(final, "gg")
-        return final, probability, pointer_component(conditional, "gg")
+        probability, row = project_internal(final, "gg")
+        return final, probability, final.meter.pointer(row, "gg")
 
 
 IDEAL = Experiment(NoMeter(), ())
@@ -212,8 +214,9 @@ IDEAL = Experiment(NoMeter(), ())
 def check_a(a) -> np.ndarray:
     """a, or each a of an array, as doubles; raises unless it lies in [0, inf)."""
     a = np.asarray(a, dtype=float)
-    if bad := [x for x in a.ravel().tolist() if not 0.0 <= x < math.inf]:
-        raise ValueError(f"a must be a non-negative finite number of sigmas, got {bad[0]}")
+    if np.count_nonzero((0.0 <= a) & (a < math.inf)) < a.size:
+        bad = next(x for x in a.ravel().tolist() if not 0.0 <= x < math.inf)
+        raise ValueError(f"a must be a non-negative finite number of sigmas, got {bad}")
     return a
 
 

@@ -124,8 +124,10 @@ def light_shift_meter(a) -> CouplingPulseOp:
     a = np.asarray(a, dtype=float)
     if not a.size:
         raise ValueError("need at least one displacement")
-    if not all(map(math.isfinite, a.ravel().tolist())):
-        raise ValueError(f"displacement must be finite, got {a.tolist()}")
+    if np.count_nonzero(finite := np.isfinite(a)) < a.size:
+        bad = a[~finite].tolist()
+        count = f" ({len(bad)} of {a.size} values)" if a.ndim else ""  # a batch is counted, not listed
+        raise ValueError(f"displacement must be finite, got {bad[0]}{count}")
     # a batch is labelled by its size and end values: formatting every one costs more than the pulse
     shown = a.tolist() if a.ndim == 0 else "[{} values: {!r} .. {!r}]".format(a.size, *a.flat[[0, -1]].tolist())
     # exact by construction: every pairwise center difference is conserved

@@ -12,8 +12,9 @@ and a state without one runs the same lines.
 The meter classes (NoMeter, GaussianMeter, QubitMeter) live in the meter
 module and are re-exported here. A meter measures amplitudes: the norm
 (the pulses' norm check; a state keeps only its norm, which the next pulse
-reads again), one outcome's row alone (post-selection) and the nine rows
-(the outcome table). A Gaussian meter's Gram kernel never appears here.
+reads again), one outcome's row alone (post-selection, which returns that
+row renormalized) and the nine rows (the outcome table). A Gaussian meter's
+Gram kernel never appears here.
 """
 
 from __future__ import annotations
@@ -104,16 +105,15 @@ def apply_unitary(state: SystemState, op: "PulseOp") -> SystemState:
 def project_internal(state: SystemState, target: str):
     """Project onto one internal basis state, named by its label ('gg' ... 'ff').
 
-    Returns the outcome probability (meter metric included; a list over a batch) and the
-    renormalized conditional state; PostSelectionError when it is below NORM_FLOOR.
+    Returns the outcome probability (meter metric included; a list over a batch) and that
+    outcome's row of meter amplitudes, renormalized: shape (..., M), the one row the
+    conditional state holds. PostSelectionError when the probability is below NORM_FLOOR.
     """
-    idx = BASIS_LABELS.index(target)
-    probability = state.meter.row_norms_sq(state.amplitudes[..., idx : idx + 1, :])[..., 0]  # that row alone
+    row = state.amplitudes[..., BASIS_LABELS.index(target), :]
+    probability = state.meter.row_norms_sq(row[..., None, :])[..., 0]  # that row alone
     if np.count_nonzero(probability < NORM_FLOOR):
         raise PostSelectionError(f"post-selection impossible: P({target}) = {np.min(probability):.3e}")
-    amps = np.zeros(probability.shape + state.amplitudes.shape[-2:], dtype=complex)
-    amps[..., idx, :] = state.amplitudes[..., idx, :] / np.sqrt(probability)[..., None]
-    return probability.tolist(), SystemState(amps, state.meter)
+    return probability.tolist(), row / np.sqrt(probability)[..., None]
 
 
 def project_rows(state: SystemState, groups) -> SystemState:

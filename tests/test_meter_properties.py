@@ -12,8 +12,10 @@ from hardyions.meter import (
     GaussianPointer,
     _gram_forms,
     _overlap_norms,
+    gauss_kernel,
     gaussian_moments,
     gaussian_norm_sq,
+    gram_matrix,
 )
 from hardyions.statecore import (
     BASIS_LABELS,
@@ -156,3 +158,22 @@ def test_overlap_norm_matches_the_row_forms_summed_in_order(state):
     bound = (N_INTERNAL + state.meter.dim**2) * np.finfo(_LD).eps * magnitude
     assert (abs(overlaps - in_order) <= bound).all()
     assert state.norm_sq.tobytes() == np.maximum(overlaps.astype(float), 0.0).tobytes()
+
+
+# centers whose differences are signed zeros, huge (overlap 0) or overflow to +-inf, besides ordinary ones
+CENTERS = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1.5e308, -1.5e308]) | st.floats(-6.0, 6.0)
+
+
+@PROPERTY_SETTINGS
+@given(sigma=st.floats(1e-3, 1e3), m=st.integers(1, 4), sets=st.sampled_from([(), (3,)]), data=st.data())
+def test_gram_matrix_is_the_full_difference_kernel(sigma, m, sets, data):
+    # one evaluation per pair i < j, mirrored, on a unit diagonal: every entry of the M x M evaluation
+    shape = (*sets, m)
+    centers = np.array(data.draw(st.lists(CENTERS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    centers = centers.reshape(shape)
+    with np.errstate(over="ignore"):  # 1.5e308 - (-1.5e308) is inf in the differences of both
+        kernel = gram_matrix(sigma, centers)
+        full = gauss_kernel(centers[..., :, None] - centers[..., None, :], sigma)
+    assert (kernel.shape, kernel.dtype) == (full.shape, full.dtype)
+    assert np.array_equal(kernel, full)  # not tobytes: the bytes that pad an x87 longdouble are undefined
+

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -651,6 +652,36 @@ class TestConfigAndReports:
                 closed_form_mean=0.0,
                 pointer_variance=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "probability, shown",
+        [(0.0, "0.0"), (1.5, "1.5"), (math.nan, "nan"), ([0.5, 1.0, -0.0, 0.25], "-0.0 (1 of 4 values)")],
+        ids=["zero", "above-one", "nan", "batch"],
+    )
+    def test_weak_value_report_probability_range(self, probability, shown):
+        # P(gg) lies in (0, 1], for one report and at every point of a batch
+        fields = dict(weak_values=weak_values_postselected(), pointer_mean=0.0, closed_form_mean=0.0, pointer_variance=1.0)
+        with pytest.raises(InvariantError, match=rf"^post-selection probability out of \(0, 1\]: {re.escape(shown)}$"):
+            WeakValueReport(postselection_probability=probability, **fields)
+        for good in (1.0, 5e-324, [1.0, 5e-324, 0.0625]):
+            assert WeakValueReport(postselection_probability=good, **fields).postselection_probability == good
+
+    def test_batch_error_messages_name_the_count_and_the_first_bad_value(self):
+        # not the whole batch: a 100000-point one listed in full ran to about 2 MB of message
+        values = np.full(100_000, 0.5)
+        values[[7, 99_000]] = math.nan
+        fields = dict(weak_values=weak_values_postselected(), pointer_mean=0.0, closed_form_mean=0.0, pointer_variance=1.0)
+        expected = [
+            (lambda: WeakValueReport(postselection_probability=values.tolist(), **fields), InvariantError,
+             "post-selection probability out of (0, 1]: nan (2 of 100000 values)"),
+            (lambda: light_shift_meter(values), ValueError, "displacement must be finite, got nan (2 of 100000 values)"),
+            (lambda: light_shift_meter(-math.inf), ValueError, "displacement must be finite, got -inf"),
+            (lambda: run_weak_gaussian(values), ValueError, "a must be a non-negative finite number of sigmas, got nan"),
+        ]
+        for call, error, message in expected:
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == message and len(message) < 200
 
     def test_report_json_fields(self):
         report = run_weak_gaussian(0.1)

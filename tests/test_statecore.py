@@ -32,13 +32,18 @@ def random_state(rng, meter=None):
 
 class TestBasisIndexing:
     def test_round_trip_all_nine(self):
-        # project_internal finds every label at its own index
+        # project_internal finds every label at its own index: the one populated row, and only there
         for k, label in enumerate(BASIS_LABELS):
-            amps = np.zeros((N_INTERNAL, 1), dtype=complex)
-            amps[k, 0] = 1.0
-            probability, conditional = project_internal(SystemState(amps), label)
+            amps = np.zeros((N_INTERNAL, 2), dtype=complex)
+            amps[k] = [0.6, 0.8j]
+            state = SystemState(amps, QubitMeter())
+            probability, row = project_internal(state, label)
             assert probability == 1.0
-            np.testing.assert_array_equal(conditional.amplitudes, amps)
+            assert row.shape == (2,) and row.tobytes() == amps[k].tobytes()
+            for other in BASIS_LABELS:
+                if other != label:
+                    with pytest.raises(PostSelectionError):
+                        project_internal(state, other)
 
     def test_label_order(self):
         assert BASIS_LABELS == ("gg", "ge", "gf", "eg", "ee", "ef", "fg", "fe", "ff")
@@ -78,9 +83,10 @@ class TestInitGround:
             project_internal(state, "ee")
 
     def test_projection_onto_gg_is_certain(self):
-        probability, conditional = project_internal(init_ground(), "gg")
-        assert probability == pytest.approx(1.0, abs=1e-15)
-        assert conditional.amplitudes[0, 0] == pytest.approx(1.0, abs=1e-15)
+        for meter in (NoMeter(), GaussianMeter(1.0), QubitMeter()):
+            probability, row = project_internal(init_ground(meter), "gg")
+            assert probability == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(row, meter.fiducial(), rtol=0.0, atol=1e-15)
 
 
 class TestApplyUnitary:
@@ -268,20 +274,23 @@ class TestNormAndProjection:
         assert projected.norm_sq.tolist() == [0.5, 0.25, 0.0]  # not renormalized
 
     def test_conditional_state_is_normalized(self):
+        # the returned row is the conditional state's one row: unit norm under its meter's metric,
+        # also on each center set of a batched meter
         rng = np.random.default_rng(5)
-        for meter in (NoMeter(), GaussianMeter(1.0, (0.0, -0.5)), QubitMeter()):
+        ee = BASIS_LABELS.index("ee")
+        batch = GaussianMeter(1.0, [(0.0, -0.5), (0.0, 0.7), (0.0, 2.5)])
+        for meter in (NoMeter(), GaussianMeter(1.0, (0.0, -0.5)), QubitMeter(), batch):
             state = random_state(rng, meter)
-            probability, conditional = project_internal(state, "ee")
-            assert 0.0 < probability < 1.0
+            probability, row = project_internal(state, "ee")
+            assert row.shape == np.shape(probability) + (meter.dim,)
+            assert 0.0 < np.min(probability) and np.max(probability) < 1.0
             assert probability == internal_probabilities(state)["ee"]
-            assert conditional.norm == pytest.approx(1.0, abs=1e-12)
-            ee = BASIS_LABELS.index("ee")
+            np.testing.assert_allclose(meter.norm_sq(row[..., None, :]), 1.0, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
-                conditional.amplitudes[ee] * math.sqrt(probability),
-                state.amplitudes[ee],
+                row * np.sqrt(probability)[..., None],
+                state.amplitudes[..., ee, :],
                 rtol=1e-14,
             )
-            assert np.count_nonzero(np.delete(conditional.amplitudes, ee, axis=0)) == 0
 
     def test_gram_kernel_built_once_per_meter(self, monkeypatch):
         from hardyions import meter as meter_mod
