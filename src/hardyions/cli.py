@@ -207,7 +207,10 @@ def _cmd_scan(args, opts):
     if opts["format"] == "json":
         return [dict(zip(_SCAN_COLUMNS, (aos, mean / aos, closed / aos, p)))
                 for aos, mean, closed, p in zip(*columns)], None, EXIT_OK
-    rows = [f"{aos!r},{mean / aos!r},{closed / aos!r},{p!r}\n" for aos, mean, closed, p in zip(*columns)]
+    # where the closed form is the mean's nonzero double, its ratio is the same double: the mean's repr
+    # is reused. 0.0 == -0.0 prints two ways, and nan equals nothing, so those rows take their own repr.
+    rows = [f"{aos!r},{(ratio := repr(mean / aos))},{ratio if closed == mean != 0.0 else repr(closed / aos)},{p!r}\n"
+            for aos, mean, closed, p in zip(*columns)]
     return None, ",".join(_SCAN_COLUMNS) + "\n" + "".join(rows), EXIT_OK
 
 

@@ -12,6 +12,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,8 +226,8 @@ class TestScan:
 
     @staticmethod
     def seeded_ranges(kind, count=20):
-        """count (min, max, steps) draws of one kind: subnormal, ordinary, or up to 1e307."""
-        rng = np.random.default_rng(["subnormal", "ordinary", "huge"].index(kind))
+        """count (min, max, steps) draws of one kind: subnormal, ordinary, up to 1e307, or inside [2.3, 2.4]."""
+        rng = np.random.default_rng(["subnormal", "ordinary", "huge", "sign-change"].index(kind))
         for _ in range(count):
             if kind == "subnormal":
                 low = max(10.0 ** rng.uniform(-323.0, -308.0), 5e-324)
@@ -234,16 +235,20 @@ class TestScan:
             elif kind == "ordinary":
                 low = 10.0 ** rng.uniform(-3.0, 1.0)
                 high = low + 10.0 ** rng.uniform(-3.0, 2.0)
-            else:
+            elif kind == "huge":
                 high = 10.0 ** rng.uniform(1.0, 307.0)
                 low = high / 10.0 ** rng.uniform(0.01, 6.0)
-            yield float(low), float(high), int(rng.integers(2, 51))
+            else:  # around the sign change at sqrt(8 ln 2), where the mean and its closed form part most often
+                low, high = np.sort(rng.uniform(2.3, 2.4, 2))
+            yield float(low), float(high), int(rng.integers(2, 201 if kind == "sign-change" else 51))
 
-    @pytest.mark.parametrize("kind", ["subnormal", "ordinary", "huge"])
+    @pytest.mark.parametrize("kind", ["subnormal", "ordinary", "huge", "sign-change"])
     def test_csv_and_json_agree(self, capsys, monkeypatch, kind):
         # each CSV row is the repr-join of its JSON row, and the grid is the Python-float formula bit
-        # for bit; a range whose moments overflow fails the same way in both formats
+        # for bit; a range whose moments overflow fails the same way in both formats. Near the sign
+        # change some rows' closed form differs from their mean, so the CSV formats it on its own.
         grids = []
+        unequal = 0
         monkeypatch.setattr(cli, "run_weak_gaussian", lambda a: grids.append(a.tolist()) or run_weak_gaussian(a))
         ran = 0
         for low, high, steps in self.seeded_ranges(kind):
@@ -264,7 +269,27 @@ class TestScan:
             assert header.split(",") == list(rows[0])
             assert lines == [",".join(map(repr, row.values())) for row in rows]
             assert [line.split(",")[0] for line in lines] == list(map(repr, expected))
+            unequal += sum(row["mean_over_a"] != row["closed_form_over_a"] for row in rows)
         assert ran >= 5
+        assert unequal > 0 or kind != "sign-change"
+
+    def test_closed_form_reuses_the_mean_repr_only_when_the_doubles_match(self, capsys, monkeypatch):
+        # 0.0 == -0.0 but the two print apart, so an equal zero takes its own repr; so does a closed
+        # form one ulp from its mean. Each row is the repr-join of its four values whatever path it takes.
+        x = -0.3
+        means = [0.0, -0.0, x, x]
+        closed = [-0.0, 0.0, x, math.nextafter(x, math.inf)]
+        probabilities = [0.25, 0.5, 0.125, 0.0625]
+        grids = []
+        report = SimpleNamespace(pointer_mean=means, closed_form_mean=closed, postselection_probability=probabilities)
+        monkeypatch.setattr(cli, "run_weak_gaussian", lambda a: grids.append(a.tolist()) or report)
+        code, out, _ = run_cli(capsys, "scan", "--min", "1", "--max", "4", "--steps", "4")
+        assert code == 0
+        assert grids == [[1.0, 2.0, 3.0, 4.0]]
+        assert out.splitlines()[1:] == [
+            ",".join(map(repr, (aos, mean / aos, c / aos, p)))
+            for aos, mean, c, p in zip(grids[0], means, closed, probabilities)
+        ]
 
     @pytest.mark.parametrize(
         "argv, bad",

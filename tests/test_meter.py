@@ -61,6 +61,13 @@ class TestOverlap:
         product = np.conj(evaluate_gaussian(single(0.0), xs)) * evaluate_gaussian(single(-a), xs)
         assert np.trapezoid(product, xs).real == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("centers", [(1.5e308, -1.5e308), [(1.5e308, -1.5e308), (-1.5e308, 1.5e308)]],
+                             ids=["single", "batched"])
+    def test_kernel_of_centers_whose_difference_overflows(self, centers):
+        # 1.5e308 - (-1.5e308) is inf, whose overlap 0 is the true one; no warning (error::RuntimeWarning)
+        kernel = GaussianMeter(1.0, centers).gram
+        assert np.array_equal(kernel, np.broadcast_to(np.eye(2), kernel.shape))
+
     def test_conditional_shape_norm(self):
         a = 0.7
         expected = 5.0 - 4.0 * math.exp(-a * a / 8.0)

@@ -171,8 +171,8 @@ def test_gram_matrix_is_the_full_difference_kernel(sigma, m, sets, data):
     shape = (*sets, m)
     centers = np.array(data.draw(st.lists(CENTERS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
     centers = centers.reshape(shape)
-    with np.errstate(over="ignore"):  # 1.5e308 - (-1.5e308) is inf in the differences of both
-        kernel = gram_matrix(sigma, centers)
+    kernel = gram_matrix(sigma, centers)  # warns of no overflow (error::RuntimeWarning)
+    with np.errstate(over="ignore"):  # 1.5e308 - (-1.5e308) is inf in the reference's differences
         full = gauss_kernel(centers[..., :, None] - centers[..., None, :], sigma)
     assert (kernel.shape, kernel.dtype) == (full.shape, full.dtype)
     assert np.array_equal(kernel, full)  # not tobytes: the bytes that pad an x87 longdouble are undefined
