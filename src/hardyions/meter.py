@@ -99,7 +99,7 @@ def gram_matrix(sigma: float, centers) -> np.ndarray:
     i, j, entries = _pair_index(d.shape[-1])
     values = np.empty((*d.shape[:-1], len(i) + 1), dtype=_LD)
     values[..., 0] = 1.0
-    with np.errstate(over="ignore"):  # centers beyond +-2^1023 apart differ by +-inf, whose overlap 0 is the true one
+    with np.errstate(over="ignore"):  # centers farther apart than the largest double: +-inf, overlap 0, as is true
         delta = d.take(i, axis=-1) - d.take(j, axis=-1)
     values[..., 1:] = gauss_kernel(delta, sigma)
     return values.take(entries, axis=-1)
